@@ -15,14 +15,22 @@ driver always know what was and wasn't formally checked under a budget."""
 from __future__ import annotations
 
 import json
+import os
 import time
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 import ray
 
-sys.path.insert(0, "/root/repo")
+# check the checkout this script sits in, in the driver and (through
+# PYTHONPATH, read when ray.init starts them) in the Ray workers
+ROOT = str(Path(__file__).resolve().parents[1])
+sys.path.insert(0, ROOT)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
+)
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",

@@ -49,12 +49,20 @@ min_words = 50
 
 
 def test_cli_scrub_rewrites_text_in_place(tmp_path):
+    # an input column named like a staging column must survive, and the
+    # rewritten text column keeps its position
+    import pyarrow as pa
+
+    src = pq.read_table("/root/testdata/sf0.001/events.parquet")
+    src = src.append_column("__scrubbed", pa.array(["keep"] * src.num_rows))
+    inp = tmp_path / "events.parquet"
+    pq.write_table(src, str(inp))
     config = tmp_path / "run.toml"
     out = tmp_path / "out"
     config.write_text(
         f"""
 [input]
-path = "/root/testdata/sf0.001/events.parquet"
+path = "{inp}"
 text_column = "props"
 id_column = "event_id"
 
@@ -74,6 +82,8 @@ replacement = "<NUM>"
 
     assert not any(re.search(r"\d", p) for p in t["props"].to_pylist())
     assert sum(t["n_scrubbed"].to_pylist()) > 0
+    assert t.column_names == src.column_names + ["n_scrubbed"]
+    assert set(t["__scrubbed"].to_pylist()) == {"keep"}
 
 
 def test_cli_token_budget_plan(tmp_path):
@@ -220,6 +230,9 @@ def test_cli_fix_text(tmp_path):
     corrupted = src.set_column(
         src.schema.get_field_index("text"), "text", pa.array(texts)
     )
+    # an input column named like a staging column must survive, and the
+    # repaired text column keeps its position
+    corrupted = corrupted.append_column("__fixed", pa.array(["keep"] * src.num_rows))
     inp = tmp_path / "docs.parquet"
     pq.write_table(corrupted, str(inp))
 
@@ -245,6 +258,8 @@ name = "fix_text"
     assert fixed[0].startswith("Café & x\n")
     # clean rows untouched
     assert fixed[1:] == src["text"].to_pylist()[1:]
+    assert t.column_names == corrupted.column_names
+    assert set(t["__fixed"].to_pylist()) == {"keep"}
 
 
 def test_cli_dup_rate(tmp_path):

@@ -10,7 +10,7 @@ import ray.data
 from text_dedup_ray.functions.unionfind import UnionFind
 from text_dedup_ray.stages.assign import assign_clusters, assign_clusters_join
 from text_dedup_ray.stages.cc import (
-    connected_components,
+    connected_components_auto,
     connected_components_distributed,
 )
 
@@ -70,7 +70,7 @@ class TestDistributedCC:
         t = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
         via_driver = {
             k: v
-            for k, v in connected_components(ray.data.from_arrow(t)).items()
+            for k, v in connected_components_auto(ray.data.from_arrow(t)).items()
             if k != v
         }
         assert _dist_cc(src.tolist(), dst.tolist()) == via_driver

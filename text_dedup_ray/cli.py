@@ -982,13 +982,8 @@ def main(argv: list[str] | None = None) -> None:
         result_ds = with_fixed_text(
             ds,
             text_column,
-            out_column="__fixed",
+            out_column=text_column,
             fixer=algo.get("fixer", "native"),
-        ).map_batches(
-            lambda b: b.drop_columns([text_column]).append_column(
-                text_column, b["__fixed"]
-            ).drop_columns(["__fixed"]),
-            batch_format="pyarrow",
         )
     elif name == "scrub":
         # in-place redaction: text_column is rewritten, n_scrubbed counts hits
@@ -1002,12 +997,7 @@ def main(argv: list[str] | None = None) -> None:
             text_column,
             pattern,
             algo.get("replacement", "<REDACTED>"),
-            out_column="__scrubbed",
-        ).map_batches(
-            lambda b: b.drop_columns([text_column]).append_column(
-                text_column, b["__scrubbed"]
-            ).drop_columns(["__scrubbed"]),
-            batch_format="pyarrow",
+            out_column=text_column,
         )
     elif name == "token_budget":
         # greedy selection plan under a global token budget; output is the

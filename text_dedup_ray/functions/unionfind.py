@@ -8,9 +8,10 @@ which (a) matches the reference's published cluster-representative convention
 and (b) is order-independent — essential for a distributed reduction whose
 input edge order depends on task scheduling.
 
-Also provides the vectorized building block used by the distributed
-connected-components stage (stages/cc.py): ``reduce_edges`` collapses an edge
-array to its spanning star (node -> component-min) edges.
+Also provides the vectorized kernel behind the driver and tree-reduce paths
+of stages/cc.py: ``component_min_labels`` labels each node of an edge array
+with its component minimum, and ``reduce_edges`` collapses an edge array to
+its spanning star (node -> component-min) edges.
 """
 
 from __future__ import annotations
@@ -55,6 +56,39 @@ class UnionFind:
         return {x: r for x in self.parent if (r := self.find(x)) != x}
 
 
+def component_min_labels(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of an edge list as ``(nodes, roots)``: every
+    distinct node (sorted) and the minimum node of its component.
+
+    Vectorized hook-and-compress: node values are factorized to dense ids
+    (``np.unique`` sorts, so the smallest dense id is the smallest value);
+    each round hooks every root onto the smallest root it shares an edge
+    with (``np.minimum.at``), pointer-jumps the forest flat, and keeps only
+    the edges that still join two different roots, rewritten onto those
+    roots. A root with a neighbouring root either hooks or has all its
+    neighbours hook, so the number of roots a component spans at least halves
+    per round: O(log n) rounds, each O(edges left + nodes).
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    nodes, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    parent = np.arange(len(nodes))
+    a, b = dense[: len(src)], dense[len(src) :]
+    while True:
+        cross = a != b
+        a, b = a[cross], b[cross]
+        if not len(a):
+            break
+        np.minimum.at(parent, np.concatenate([a, b]), np.concatenate([b, a]))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        a, b = parent[a], parent[b]
+    return nodes, nodes[parent]
+
+
 def reduce_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse an edge list to star edges (member -> component min) of the
     components *within this edge set*.
@@ -63,12 +97,6 @@ def reduce_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
     at most ``distinct_nodes - n_components`` edges — the contraction step of
     the tree-reduced distributed CC.
     """
-    uf = UnionFind()
-    union = uf.union
-    for s, d in zip(src.tolist(), dst.tolist()):
-        union(s, d)
-    pairs = [(x, r) for x in uf.parent if (r := uf.find(x)) != x]
-    if not pairs:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    arr = np.asarray(pairs, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+    nodes, roots = component_min_labels(src, dst)
+    keep = nodes != roots
+    return nodes[keep], roots[keep]

@@ -363,20 +363,12 @@ def _bloom_exchange(
     k: int,
     hash_col: str,
 ) -> ray.data.Dataset:
-    from ..stages.exchange import _split_block
+    from ..stages.exchange import split_map
 
     withpart = hashed.map_batches(
         _add_hash_part(hash_col, num_shards), batch_format="pyarrow"
     )
-    split = ray.remote(num_returns=num_shards)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_shards)]
-    for bundle in withpart.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_shards)
-            if num_shards == 1:
-                outs = [outs]
-            for p in range(num_shards):
-                columns[p].append(outs[p])
+    columns = split_map(withpart, "part", num_shards)
     reduced = []
     for p in range(num_shards):
         prior = (

@@ -195,7 +195,7 @@ def phash_near_dedup_parents(
     from ..functions.simhash import create_permutations, permutation_keys_batch
     from ..stages.cc import connected_components_auto
     from ..stages.edges import simhash_local_buckets, simhash_rep_part, simhash_rep_reduce
-    from ..stages.exchange import tagged_split_exchange
+    from ..stages.exchange import tagged_split_exchange_refs
 
     perms = create_permutations(64, bit_diff, num_bucket)
 
@@ -218,7 +218,7 @@ def phash_near_dedup_parents(
     sig = ds.select_columns([ROW_ID, phash_column]).map_batches(sig_stage, batch_format="pyarrow")
     local = sig.map_batches(simhash_local_buckets, batch_format="pyarrow", batch_size=None)
     # one streaming split pass (see stages.exchange.tagged_split_exchange)
-    local_edges, cross, _rows, _reduced = tagged_split_exchange(
+    edge_refs, reduced_refs, _rows = tagged_split_exchange_refs(
         local,
         "is_edge",
         simhash_rep_part,
@@ -226,7 +226,7 @@ def phash_near_dedup_parents(
         partial(simhash_rep_reduce, bit_diff=bit_diff),
     )
     return connected_components_auto(
-        local_edges.union(cross), driver_threshold=driver_threshold
+        edge_refs + reduced_refs, driver_threshold=driver_threshold
     )
 
 

@@ -59,10 +59,12 @@ import ray.data
 
 from ..functions.minhash import MinHashConfig
 from ..functions.timer import Timer
+from ..functions.unionfind import component_min_labels
 from ..sources.io import ROW_ID, stamp_row_ids_from_key
 from ..stages.assign import assign_clusters, assign_clusters_sharded, filter_cluster_roots
 from ..stages.cc import connected_components_auto
 from ..stages.edges import _binary_to_u8, _fixed_binary, _group_min, _void_view, minhash_rep_part
+from ..stages.exchange import tagged_split_map
 from ..stages.fingerprint import MinHashFingerprinter
 from ..state.checkpoint import config_hash
 from .minhash import min_length_filter
@@ -395,37 +397,24 @@ def _split_and_reduce_reps(
     key_width: int,
     part_fn=minhash_rep_part,
     cross_spec: tuple[int, int] | None = None,
-) -> tuple[ray.data.Dataset, ray.data.Dataset, int]:
+) -> tuple[list[ray.ObjectRef], int]:
     """Streaming tagged split of the fingerprint stage's (edges | reps)
     blocks; each rep partition reduces against its prior index file and
-    writes the next version. Returns (local_edges, cross_edges, input_rows)."""
-    from ..stages.exchange import _split_tagged_block
-
-    split = ray.remote(num_returns=num_partitions + 1)(_split_tagged_block)
-    edge_refs: list[ray.ObjectRef] = []
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    total_rows = 0
-    for bundle in local.iter_internal_ref_bundles():
-        total_rows += bundle.num_rows() or 0
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "is_edge", part_fn, num_partitions)
-            edge_refs.append(outs[0])
-            for p in range(num_partitions):
-                columns[p].append(outs[p + 1])
-
-    reduced = []
+    writes the next version. Returns (edge_refs, input_rows): the local edge
+    tables, then one cross-edge table per partition — every partition's
+    reduce-write is done once all of them have been fetched."""
+    edge_refs, columns, total_rows = tagged_split_map(
+        local, "is_edge", part_fn, num_partitions
+    )
     for p in range(num_partitions):
         prior = _rep_file(state_dir, prior_version, p) if prior_version is not None else None
-        reduced.append(
+        edge_refs.append(
             _rep_reduce_write.remote(
                 _rep_file(state_dir, new_version, p), prior, key_width, cross_spec,
                 *columns[p],
             )
         )
-    local_edges = (
-        ray.data.from_arrow_refs(edge_refs) if edge_refs else ray.data.from_arrow(_EMPTY_EDGES)
-    )
-    return local_edges, ray.data.from_arrow_refs(reduced), total_rows
+    return edge_refs, total_rows
 
 
 # ------------------------------------------------------------- cluster state
@@ -567,13 +556,12 @@ def minhash_bootstrap(
     version = 1
     _clean_version_dir(state_dir, version)
     with timer("fingerprint+rep_index"):
-        local_edges, cross_edges, sig_rows = _split_and_reduce_reps(
+        edge_refs, sig_rows = _split_and_reduce_reps(
             local, state_dir, version, None, num_partitions, _key_width(cfg)
         )
-        edges = local_edges.union(cross_edges)
     with timer("cc"):
         parents = connected_components_auto(
-            edges, driver_threshold=driver_threshold, num_partitions=num_partitions
+            edge_refs, driver_threshold=driver_threshold, num_partitions=num_partitions
         )
     with timer("assign+state"):
         _write_clusters(parents, _clusters_dir(state_dir, version))
@@ -654,13 +642,12 @@ def minhash_increment(
     version = prior_version + 1
     _clean_version_dir(state_dir, version)
     with timer("fingerprint+rep_index"):
-        local_edges, cross_edges, sig_rows = _split_and_reduce_reps(
+        edge_refs, sig_rows = _split_and_reduce_reps(
             local, state_dir, version, prior_version, num_partitions, _key_width(cfg)
         )
-        edges = local_edges.union(cross_edges)
     with timer("cc"):
         cc = connected_components_auto(
-            edges, driver_threshold=driver_threshold, num_partitions=num_partitions
+            edge_refs, driver_threshold=driver_threshold, num_partitions=num_partitions
         )
 
     with timer("compose"):
@@ -800,7 +787,7 @@ def minhash_probe_vs_state(
     is_candidate, candidate_rep)``; tests/test_minhash_probe.py proves
     DuckDB parity and read-only-ness."""
     from ..stages.edges import _hash_part, minhash_bucket_key_u8
-    from ..stages.exchange import _split_block, hash_partition_exchange
+    from ..stages.exchange import hash_partition_exchange, split_map
 
     cfg = cfg or MinHashConfig()
     meta = load_meta(state_dir)
@@ -846,15 +833,7 @@ def minhash_probe_vs_state(
         )
 
     posted = sig.map_batches(keyify, batch_format="pyarrow")
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in posted.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+    columns = split_map(posted, "part", num_partitions)
     partials = ray.data.from_arrow_refs(
         [
             _minhash_probe_partition.remote(
@@ -1007,16 +986,9 @@ def _compose_two_priors(
             prior_map.update(_prior_roots_for(d, node_arr))
         pk, pv = _sorted_remap_arrays(prior_map)
         prior_roots = _remap_sorted(node_arr, pk, pv)
-        from ..functions.unionfind import UnionFind
-
-        uf = UnionFind()
-        union = uf.union
-        for r, p in zip(root_arr.tolist(), prior_roots.tolist()):
-            union(int(r), int(p))
-        for p in np.unique(prior_roots).tolist():
-            w = uf.find(int(p))
-            if w != p:
-                merges[int(p)] = w
+        nodes, winners = component_min_labels(root_arr, prior_roots)
+        lost = np.isin(nodes, prior_roots) & (nodes != winners)
+        merges = dict(zip(nodes[lost].tolist(), winners[lost].tolist()))
     return merges
 
 
@@ -1138,9 +1110,8 @@ def minhash_state_union(
         )
         for p in range(num_partitions)
     ]
-    edges = ray.data.from_arrow_refs(edge_refs)
     cc = connected_components_auto(
-        edges, driver_threshold=driver_threshold, num_partitions=num_partitions
+        edge_refs, driver_threshold=driver_threshold, num_partitions=num_partitions
     )
 
     cluster_dirs = [_clusters_dir(s, v) for s, v in zip(states, versions)]
@@ -1229,9 +1200,8 @@ def simhash_state_union(
         )
         for p in range(num_partitions)
     ]
-    edges = ray.data.from_arrow_refs(edge_refs)
     cc = connected_components_auto(
-        edges, driver_threshold=driver_threshold,
+        edge_refs, driver_threshold=driver_threshold,
         num_partitions=num_partitions, include_roots=False,
     )
     merges = _compose_two_priors(
@@ -1317,15 +1287,14 @@ def simhash_bootstrap(
     _clean_version_dir(state_dir, version)
     with timer("fingerprint+rep_index"):
         sig_b = cfg.sig_bytes if cfg.f > 64 else 8
-        local_edges, cross_edges, sig_rows = _split_and_reduce_reps(
+        edge_refs, sig_rows = _split_and_reduce_reps(
             local, state_dir, version, None, num_partitions, 12 + sig_b,
             part_fn=partial(simhash_rep_part, sig_bytes=sig_b),
             cross_spec=(cfg.bit_diff, max_distinct_sigs),
         )
-        edges = local_edges.union(cross_edges)
     with timer("cc"):
         parents = connected_components_auto(
-            edges, driver_threshold=driver_threshold,
+            edge_refs, driver_threshold=driver_threshold,
             num_partitions=num_partitions, include_roots=False,
         )
     with timer("assign+state"):
@@ -1419,15 +1388,14 @@ def simhash_increment(
     _clean_version_dir(state_dir, version)
     with timer("fingerprint+rep_index"):
         sig_b = cfg.sig_bytes if cfg.f > 64 else 8
-        local_edges, cross_edges, sig_rows = _split_and_reduce_reps(
+        edge_refs, sig_rows = _split_and_reduce_reps(
             local, state_dir, version, prior_version, num_partitions, 12 + sig_b,
             part_fn=partial(simhash_rep_part, sig_bytes=sig_b),
             cross_spec=(cfg.bit_diff, max_distinct_sigs),
         )
-        edges = local_edges.union(cross_edges)
     with timer("cc"):
         cc = connected_components_auto(
-            edges, driver_threshold=driver_threshold,
+            edge_refs, driver_threshold=driver_threshold,
             num_partitions=num_partitions, include_roots=False,
         )
     with timer("compose"):
@@ -1530,21 +1498,12 @@ def _compose_with_prior(
     # min, is what matches the full-rerun connectivity (new edges ∪
     # prior co-membership). UF size is O(involved components + prior roots).
     cc_roots_of_old = root_arr[old_mask]
-    from ..functions.unionfind import UnionFind
-
-    uf = UnionFind()
-    union = uf.union
-    for r, p in zip(cc_roots_of_old.tolist(), prior_roots.tolist()):
-        union(int(r), int(p))
-    final_for_root = {
-        int(r): uf.find(int(r)) for r in np.unique(cc_roots_of_old).tolist()
-    }
+    nodes, winners = component_min_labels(cc_roots_of_old, prior_roots)
+    is_root = np.isin(nodes, cc_roots_of_old)
+    final_for_root = dict(zip(nodes[is_root].tolist(), winners[is_root].tolist()))
     # merges: any prior root whose transitive winner is a smaller id
-    merges: dict[int, int] = {}
-    for p in np.unique(prior_roots).tolist():
-        w = uf.find(int(p))
-        if w != p:
-            merges[int(p)] = w
+    lost = np.isin(nodes, prior_roots) & (nodes != winners)
+    merges = dict(zip(nodes[lost].tolist(), winners[lost].tolist()))
 
     if isinstance(cc, dict):
         # old nodes resolve through final_for_root too: their cc root is

@@ -40,6 +40,7 @@ from ..functions.timer import Timer
 from ..sources.io import ROW_ID, stamp_row_ids_from_key
 from ..stages.assign import assign_clusters, assign_clusters_sharded, filter_cluster_roots
 from ..stages.cc import connected_components_auto
+from ..stages.exchange import split_map
 from ..state.checkpoint import config_hash
 from .editdist import _md5_u64_pair, default_tokenizer, key_rows_for_text, pairs_from_key_rows
 from .incremental import (
@@ -214,23 +215,6 @@ def _postings_reduce_write(
     return pa.table({"src": pa.array(pairs[:, 0]), "dst": pa.array(pairs[:, 1])})
 
 
-def _split_to_partitions(ds: ray.data.Dataset, num_partitions: int):
-    """Explicit map-side split (the incremental families' streaming
-    pattern): returns per-partition lists of block refs."""
-    from ..stages.exchange import _split_block
-
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
-    return columns
-
-
 def _hash_partial(text_column: str, num_partitions: int):
     def f(batch: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -335,7 +319,7 @@ def _run_step(
         batch_size=None,
     )
     with timer("texts_index"):
-        cols = _split_to_partitions(hashed, num_partitions)
+        cols = split_map(hashed, "part", num_partitions)
         union_refs = [
             _texts_reduce_write.remote(
                 _texts_file(state_dir, version, p),
@@ -351,7 +335,7 @@ def _run_step(
         keyed = union.map_batches(
             _key_partial(num_partitions), batch_format="pyarrow", batch_size=None
         )
-        kcols = _split_to_partitions(keyed, num_partitions)
+        kcols = split_map(keyed, "part", num_partitions)
         pair_refs = [
             _postings_reduce_write.remote(
                 _postings_file(state_dir, version, p),

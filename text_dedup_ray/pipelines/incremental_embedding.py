@@ -129,17 +129,9 @@ def _exchange_and_reduce(
     """Split the new batch's sig rows by their precomputed ``part`` column
     and reduce each partition against its prior index file. Streams
     block-by-block as the sig stage produces."""
-    from ..stages.exchange import _split_block
+    from ..stages.exchange import split_map
 
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in sig.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+    columns = split_map(sig, "part", num_partitions)
     reduced = []
     for p in range(num_partitions):
         prior = (
@@ -408,9 +400,8 @@ def embedding_state_union(
         )
         for p in range(num_partitions)
     ]
-    edges = ray.data.from_arrow_refs(edge_refs)
     cc = connected_components_auto(
-        edges, driver_threshold=driver_threshold, num_partitions=num_partitions
+        edge_refs, driver_threshold=driver_threshold, num_partitions=num_partitions
     )
     merges = _compose_two_priors(
         cc, _clusters_dir(state_a, va), _clusters_dir(state_b, vb)

@@ -193,7 +193,7 @@ def exact_probe_vs_state(
     partition's index file and answers membership with one searchsorted.
     The old index never re-shuffles or rewrites. Returns a Dataset of
     ``(row_id, seen, winner)``."""
-    from ..stages.exchange import _split_block
+    from ..stages.exchange import split_map
 
     meta = load_meta(state_dir)
     if meta.get("algo") != "exact":
@@ -212,15 +212,7 @@ def exact_probe_vs_state(
     narrow = hashed.select_columns([_HASH_COL, ROW_ID]).map_batches(
         _add_hash_part(_HASH_COL, num_partitions), batch_format="pyarrow"
     )
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in narrow.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+    columns = split_map(narrow, "part", num_partitions)
     probed = [
         _exact_probe_partition.remote(_index_file(state_dir, version, p), *columns[p])
         for p in range(num_partitions)
@@ -238,20 +230,12 @@ def _exchange_and_reduce(
     """Hash-partition the new batch's narrow (hash, row_id) rows and run the
     per-partition merge against the prior index files. Streams block-by-block
     as the hash stage produces (no materialize barrier)."""
-    from ..stages.exchange import _split_block
+    from ..stages.exchange import split_map
 
     narrow = hashed.select_columns([_HASH_COL, ROW_ID]).map_batches(
         _add_hash_part(_HASH_COL, num_partitions), batch_format="pyarrow"
     )
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in narrow.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+    columns = split_map(narrow, "part", num_partitions)
     reduced = []
     for p in range(num_partitions):
         prior = (

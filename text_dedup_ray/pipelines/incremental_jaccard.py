@@ -243,17 +243,9 @@ def _exchange_postings(
     reduce_args_for_partition,
     num_partitions: int,
 ) -> ray.data.Dataset:
-    from ..stages.exchange import _split_block
+    from ..stages.exchange import split_map
 
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in postings.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+    columns = split_map(postings, "part", num_partitions)
     reduced = [
         reduce_remote.remote(*reduce_args_for_partition(p), *columns[p])
         for p in range(num_partitions)

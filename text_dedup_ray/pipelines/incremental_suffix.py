@@ -210,17 +210,9 @@ def _exchange_anchor_partitions(
 ) -> ray.data.Dataset:
     """Split anchor rows by their precomputed ``part`` column and apply the
     given reduce task per partition (streaming block-by-block)."""
-    from ..stages.exchange import _split_block
+    from ..stages.exchange import split_map
 
-    split = ray.remote(num_returns=num_partitions)(_split_block)
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for bundle in sig.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, "part", num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+    columns = split_map(sig, "part", num_partitions)
     reduced = [
         reduce_remote.remote(*reduce_args_for_partition(p), *columns[p])
         for p in range(num_partitions)

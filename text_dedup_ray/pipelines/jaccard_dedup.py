@@ -33,7 +33,6 @@ import ray.data
 
 from ..functions.tokenization import shingle_set
 from ..sources.io import ROW_ID, stamp_row_ids_from_key
-from ..stages.cc import connected_components
 from ..stages.exchange import hash_partition_exchange
 
 logger = logging.getLogger(__name__)

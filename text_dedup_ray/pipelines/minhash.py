@@ -7,11 +7,14 @@ optional Jaccard verify -> keep cluster roots -> save.
 This pipeline keeps the same semantics but streams end-to-end:
 
   stamp row_id -> filter(min_length) -> [narrow: row_id+text]
-    -> map_batches(MinHashFingerprinter actor pool)      # vectorized batches
-    -> local bucket star-edges + per-bucket reps         # map_batches
-    -> groupby(part).map_groups rep merge                # the only shuffle
-    -> tree-reduced union-find                           # distributed CC
-    -> broadcast cluster map -> assign -> [verify] -> filter roots
+    -> MinHashFingerprinter actor pool: signatures, then local bucket
+       star-edges + per-bucket reps, fused                # vectorized batches
+    -> tagged split exchange: edges pass through, reps
+       hash-partitioned and merged                        # the only shuffle
+    -> CC on the exchange's ObjectRefs: one vectorized union-find on the
+       driver when the edges fit driver_threshold, else tree reduce /
+       distributed CC
+    -> broadcast (or sharded) cluster map -> assign -> [verify] -> filter roots
 
 Payload columns (image bytes etc.) never enter the shuffle: signatures ride
 in a narrow side dataset and clusters re-join the full-schema rows by row_id
@@ -45,7 +48,11 @@ from ..stages.edges import (
     minhash_rep_part,
     minhash_rep_reduce,
 )
-from ..stages.exchange import hash_partition_exchange, tagged_split_exchange
+from ..stages.exchange import (
+    hash_partition_exchange,
+    require_streaming_cpus,
+    tagged_split_exchange_refs,
+)
 from ..stages.fingerprint import MinHashFingerprinter
 from .verify import verify_clusters_auto
 
@@ -148,6 +155,7 @@ def minhash_dedup(
         # validate on the driver: inside the actor pool the same check would
         # surface as an opaque RayActorError at first execution
         raise ValueError("b_bits must be 8 or 16 (byte-aligned)")
+    cpus = require_streaming_cpus("minhash_dedup")
     timer = Timer()
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
@@ -158,16 +166,10 @@ def minhash_dedup(
 
     prefetch: dict = {}
     prefetch_thread = None
-    if prefetch_payload:
-        # the background materialize needs CPU slots alongside the
-        # fingerprint actor pool; on tiny clusters (<4 CPUs) the two can
-        # starve each other into a deadlock (a 1-CPU run hangs) — stream
-        # the final pass instead there.
-        import ray as _ray
-
-        if _ray.is_initialized() and _ray.cluster_resources().get("CPU", 0) < 4:
-            prefetch_payload = False
-    if prefetch_payload:
+    # the background materialize needs CPU slots alongside the fingerprint
+    # actor pool; on tiny clusters (<4 CPUs) the two can starve each other
+    # into a deadlock — stream the final pass instead there.
+    if prefetch_payload and (cpus is None or cpus >= 4):
         import threading
 
         def _materialize_payload(pf=filtered):
@@ -204,7 +206,7 @@ def minhash_dedup(
     # re-reading the bucket table once per branch). The timer below covers
     # the full fingerprint execution because the iterator drains it.
     with timer("fingerprint+local_buckets"):
-        local_edges, cross_edges, signature_rows, reduced_refs = tagged_split_exchange(
+        edge_refs, reduced_refs, signature_rows = tagged_split_exchange_refs(
             local,
             "is_edge",
             minhash_rep_part,
@@ -213,11 +215,12 @@ def minhash_dedup(
         )
     with timer("rep_merge"):
         if reduced_refs:
-            ray.wait(list(reduced_refs), num_returns=len(reduced_refs))
-        edges = local_edges.union(cross_edges)
+            ray.wait(reduced_refs, num_returns=len(reduced_refs))
     with timer("cc"):
         parents = connected_components_auto(
-            edges, driver_threshold=driver_threshold, num_partitions=merge_partitions
+            edge_refs + reduced_refs,
+            driver_threshold=driver_threshold,
+            num_partitions=merge_partitions,
         )
 
     metrics: dict = {"bands": cfg.bands, "rows_per_band": cfg.rows}
@@ -377,14 +380,13 @@ def minhash_threshold_sweep(
     out_rows = []
     for bands, rows in band_configs:
         local = sig_ds.map_batches(make_reband(bands, rows), batch_format="pyarrow")
-        local_edges, cross_edges, _sig_rows, reduced_refs = tagged_split_exchange(
+        edge_refs, reduced_refs, _sig_rows = tagged_split_exchange_refs(
             local, "is_edge", minhash_rep_part, merge_partitions, minhash_rep_reduce
         )
-        if reduced_refs:
-            ray.wait(list(reduced_refs), num_returns=len(reduced_refs))
-        edges = local_edges.union(cross_edges)
         parents = connected_components_auto(
-            edges, driver_threshold=driver_threshold, num_partitions=merge_partitions
+            edge_refs + reduced_refs,
+            driver_threshold=driver_threshold,
+            num_partitions=merge_partitions,
         )
         if isinstance(parents, dict):
             duplicates = sum(1 for m, r_ in parents.items() if m != r_)
@@ -508,14 +510,14 @@ def minhash_dedup_checkpointed(
             minhash_local_buckets, batch_format="pyarrow", batch_size=None
         )
         with timer("rep_merge"):
-            local_edges, cross_edges, _sig_rows, reduced_refs = tagged_split_exchange(
+            edge_refs, reduced_refs, _sig_rows = tagged_split_exchange_refs(
                 local, "is_edge", minhash_rep_part, merge_partitions, minhash_rep_reduce
             )
             if reduced_refs:
-                ray.wait(list(reduced_refs), num_returns=len(reduced_refs))
+                ray.wait(reduced_refs, num_returns=len(reduced_refs))
         with timer("cc"):
             parents = connected_components_auto(
-                local_edges.union(cross_edges),
+                edge_refs + reduced_refs,
                 driver_threshold=driver_threshold,
                 num_partitions=merge_partitions,
             )

@@ -25,9 +25,9 @@ import ray.data
 from ..functions.simhash import SimHashConfig
 from ..sources.io import ROW_ID, stamp_row_ids_from_key
 from ..stages.assign import assign_clusters, assign_clusters_sharded, filter_non_duplicates
-from ..stages.cc import connected_components, connected_components_auto
+from ..stages.cc import connected_components_auto
 from ..stages.edges import simhash_rep_part, simhash_rep_reduce
-from ..stages.exchange import tagged_split_exchange
+from ..stages.exchange import require_streaming_cpus, tagged_split_exchange_refs
 from ..stages.fingerprint import SimHashFingerprinter
 from .verify import verify_clusters_auto
 
@@ -59,6 +59,7 @@ def simhash_dedup(
     background thread while the narrow signature/CC stages run — same
     latency optimization (and same <4-CPU guard) as minhash_dedup."""
     cfg = cfg or SimHashConfig()
+    cpus = require_streaming_cpus("simhash_dedup")
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
     elif ROW_ID not in ds.schema().names:
@@ -66,12 +67,7 @@ def simhash_dedup(
 
     prefetch: dict = {}
     prefetch_thread = None
-    if prefetch_payload:
-        import ray as _ray
-
-        if _ray.is_initialized() and _ray.cluster_resources().get("CPU", 0) < 4:
-            prefetch_payload = False
-    if prefetch_payload:
+    if prefetch_payload and (cpus is None or cpus >= 4):
         import threading
 
         def _materialize_payload(pf=ds):
@@ -105,19 +101,18 @@ def simhash_dedup(
     from functools import partial
 
     sig_bytes = cfg.sig_bytes if cfg.f > 64 else 8
-    local_edges, cross_edges, _sig_rows, _reduced = tagged_split_exchange(
+    edge_refs, reduced_refs, _sig_rows = tagged_split_exchange_refs(
         local,
         "is_edge",
         partial(simhash_rep_part, sig_bytes=sig_bytes),
         merge_partitions,
         partial(simhash_rep_reduce, bit_diff=cfg.bit_diff, sig_bytes=sig_bytes),
     )
-    edges = local_edges.union(cross_edges)
     # simhash keeps only non-root members in the map (simhash.py:70-71), so
     # __duplicate__ is False for cluster roots — unlike MinHash
     # (include_roots=False on the distributed fallback).
     all_parents = connected_components_auto(
-        edges,
+        edge_refs + reduced_refs,
         driver_threshold=driver_threshold,
         num_partitions=merge_partitions,
         include_roots=False,
@@ -254,20 +249,15 @@ def simhash_threshold_sweep(
             batch_format="pyarrow",
             concurrency=fingerprint_concurrency,
         )
-        local_edges, cross_edges, _rows, reduced_refs = tagged_split_exchange(
+        edge_refs, reduced_refs, _rows = tagged_split_exchange_refs(
             local,
             "is_edge",
             simhash_rep_part,
             merge_partitions,
             partial(simhash_rep_reduce, bit_diff=k),
         )
-        if reduced_refs:
-            import ray
-
-            ray.wait(list(reduced_refs), num_returns=len(reduced_refs))
-        edges = local_edges.union(cross_edges)
         parents = connected_components_auto(
-            edges,
+            edge_refs + reduced_refs,
             driver_threshold=driver_threshold,
             num_partitions=merge_partitions,
             include_roots=False,

@@ -21,6 +21,14 @@ from ..functions.textstats import (
 )
 
 
+def _put_column(batch: pa.Table, name: str, values) -> pa.Table:
+    """Replace column ``name`` at its position, or append it when absent."""
+    i = batch.schema.get_field_index(name)
+    if i < 0:
+        return batch.append_column(name, values)
+    return batch.set_column(i, name, values)
+
+
 def with_token_counts(ds: ray.data.Dataset, text_column: str = "text") -> ray.data.Dataset:
     """Native-kernel token count: non-overlapping ``[A-Za-z0-9_]+`` match
     count per row (== ``len(WORD_RE.findall(text))`` == the DuckDB oracle
@@ -331,12 +339,14 @@ def with_fixed_text(
     use); ``"auto"`` picks up an installed ftfy wheel per worker process.
     Clean printable-ASCII rows are proven fixed points and pass through
     zero-copy, so on a mostly-clean corpus the stage is a cheap masked scan.
+    An existing ``out_column`` is replaced in place (``out_column=
+    text_column`` repairs the text column itself).
     """
     from ..functions.textfix import fix_text_array
 
     def add(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            out_column, fix_text_array(batch[text_column], fixer=fixer)
+        return _put_column(
+            batch, out_column, fix_text_array(batch[text_column], fixer=fixer)
         )
 
     return ds.map_batches(add, batch_format="pyarrow")
@@ -428,18 +438,18 @@ def with_scrubbed(
     the redaction pass (emails / phone numbers / free digits) that runs
     before a corpus ships to training. Native Arrow kernels; DuckDB's
     ``regexp_replace(..., 'g')`` / ``regexp_extract_all`` are the same
-    RE2 semantics, so the oracle is exact."""
+    RE2 semantics, so the oracle is exact. Existing output columns are
+    replaced in place (``out_column=text_column`` redacts the text column
+    itself)."""
     import pyarrow.compute as pc
 
     def add(batch: pa.Table) -> pa.Table:
         text = batch[text_column]
-        return batch.append_column(
-            out_column,
-            pc.replace_substring_regex(text, pattern, replacement),
-        ).append_column(
-            hits_column,
-            pc.count_substring_regex(text, pattern).cast(pa.int64()),
+        hits = pc.count_substring_regex(text, pattern).cast(pa.int64())
+        batch = _put_column(
+            batch, out_column, pc.replace_substring_regex(text, pattern, replacement)
         )
+        return _put_column(batch, hits_column, hits)
 
     return ds.map_batches(add, batch_format="pyarrow")
 

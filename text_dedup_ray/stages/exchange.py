@@ -22,6 +22,12 @@ surrounding pipeline stays a Dataset pipeline. Objects never touch the
 driver. On a multi-node cluster this is the same data movement a shuffle
 performs (every sub-table crosses the store once), minus the sort.
 
+``from_arrow_refs`` is not free: in Ray 2.49 it runs one blocking metadata
+task per ref. So the tagged split (``tagged_split_exchange_refs``) hands its
+per-block edge tables and per-partition reduced tables to the CC stage as
+plain ObjectRefs; wrapping them would cost 64 partitions + the input blocks
+(~66 on the flagship) metadata round trips per call on the critical path.
+
 Driver-memory note: the split loop keeps O(blocks x partitions) ObjectRefs
 in Python lists until the reduce tasks are launched (~100 bytes/ref). At
 10^4 blocks x 64 partitions that is ~60 MB of bookkeeping — fine; at 10^6+
@@ -74,6 +80,25 @@ def _split_block(block: pa.Table, part_col: str, num_partitions: int) -> list[pa
         sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
         for p in range(num_partitions)
     ]
+
+
+def split_map(
+    ds: ray.data.Dataset, part_col: str, num_partitions: int
+) -> list[list[ray.ObjectRef]]:
+    """Streaming map side of the hash exchange: one split task per block of
+    ``ds`` as it executes (no materialize barrier); returns, per partition,
+    the refs of that partition's sub-table of every block — the input of a
+    caller-launched reduce task per partition."""
+    split = ray.remote(num_returns=num_partitions)(_split_block)
+    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
+    for bundle in ds.iter_internal_ref_bundles():
+        for block_ref in bundle.block_refs:
+            outs = split.remote(block_ref, part_col, num_partitions)
+            if num_partitions == 1:
+                outs = [outs]
+            for p in range(num_partitions):
+                columns[p].append(outs[p])
+    return columns
 
 
 def hash_partition_exchange(
@@ -227,15 +252,31 @@ def _split_tagged_block(
     ]
 
 
-def tagged_split_exchange(
+def require_streaming_cpus(caller: str) -> float | None:
+    """The cluster's logical CPU count (None before ``ray.init``). Raises
+    ValueError below 2: the tagged split's tasks run while the upstream
+    fingerprint actor pool still holds its CPU, so on a one-CPU cluster a
+    pipeline over parquet input never returns (no error, no progress)."""
+    if not ray.is_initialized():
+        return None
+    cpus = ray.cluster_resources().get("CPU", 0)
+    if cpus < 2:
+        raise ValueError(
+            f"{caller} needs a Ray cluster with at least 2 logical CPUs "
+            f"(found {cpus:g}): start Ray with ray.init(num_cpus=2) or more"
+        )
+    return cpus
+
+
+def tagged_split_map(
     ds: ray.data.Dataset,
     tag_col: str,
     part_fn: Callable[[pa.Table, int], np.ndarray],
     num_partitions: int,
-    reduce_fn: Callable[[pa.Table], pa.Table],
-) -> tuple[ray.data.Dataset, ray.data.Dataset, int, list[ray.ObjectRef]]:
-    """Streaming one-pass split of a tagged (edges | reps) stage-1 dataset
-    returning (edges_dataset, reduced_dataset, input_rows, reduced_refs).
+) -> tuple[list[ray.ObjectRef], list[list[ray.ObjectRef]], int]:
+    """Map side of the tagged (edges | reps) exchange: returns (edge_refs,
+    rep_columns, input_rows) — one (src, dst) edge table per input block and,
+    per rep partition, that partition's sub-table of every block.
 
     Consumes ``ds`` block-by-block AS IT EXECUTES (``iter_internal_ref_bundles``)
     and launches one split task per block immediately, so the exchange's
@@ -243,13 +284,8 @@ def tagged_split_exchange(
     ``materialize()`` barrier — and each block is read exactly once (the
     materialize-then-filter-twice shape costs two extra passes over the
     exploded bucket table).
-
-    Returns (edges_dataset, reduced_dataset, input_rows, reduced_refs) —
-    ``reduced_refs`` lets the caller ``ray.wait`` for stage-timing purposes.
     """
     split = ray.remote(num_returns=num_partitions + 1)(_split_tagged_block)
-    reduce_remote = ray.remote(_reduce_partition)
-
     edge_refs: list[ray.ObjectRef] = []
     columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
     total_rows = 0
@@ -260,16 +296,50 @@ def tagged_split_exchange(
             edge_refs.append(outs[0])
             for p in range(num_partitions):
                 columns[p].append(outs[p + 1])
+    return edge_refs, columns, total_rows
 
+
+def tagged_split_exchange_refs(
+    ds: ray.data.Dataset,
+    tag_col: str,
+    part_fn: Callable[[pa.Table, int], np.ndarray],
+    num_partitions: int,
+    reduce_fn: Callable[[pa.Table], pa.Table],
+) -> tuple[list[ray.ObjectRef], list[ray.ObjectRef], int]:
+    """Streaming one-pass tagged exchange (:func:`tagged_split_map`, then
+    ``reduce_fn`` once per rep partition) returning (edge_refs,
+    reduced_refs, input_rows); both ref lists are empty for an empty input.
+    """
+    edge_refs, columns, total_rows = tagged_split_map(ds, tag_col, part_fn, num_partitions)
+    if not edge_refs:
+        return [], [], 0
+    reduce_remote = ray.remote(_reduce_partition)
+    reduced = [reduce_remote.remote(reduce_fn, *column) for column in columns]
+    return edge_refs, reduced, total_rows
+
+
+def tagged_split_exchange(
+    ds: ray.data.Dataset,
+    tag_col: str,
+    part_fn: Callable[[pa.Table, int], np.ndarray],
+    num_partitions: int,
+    reduce_fn: Callable[[pa.Table], pa.Table],
+) -> tuple[ray.data.Dataset, ray.data.Dataset, int, list[ray.ObjectRef]]:
+    """:func:`tagged_split_exchange_refs` with both ref lists wrapped as
+    Datasets: returns (edges_dataset, reduced_dataset, input_rows,
+    reduced_refs) — ``reduced_refs`` lets the caller ``ray.wait`` for
+    stage-timing purposes. The wrapping costs one blocking metadata task per
+    ref (``from_arrow_refs``); callers that only feed the edges to
+    ``connected_components_auto`` pass the refs instead.
+    """
+    edge_refs, reduced, total_rows = tagged_split_exchange_refs(
+        ds, tag_col, part_fn, num_partitions, reduce_fn
+    )
     if not edge_refs:
         empty = pa.table(
             {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
         )
         return ray.data.from_arrow(empty), ray.data.from_arrow(empty), 0, []
-
-    reduced = [
-        reduce_remote.remote(reduce_fn, *columns[p]) for p in range(num_partitions)
-    ]
     return (
         ray.data.from_arrow_refs(edge_refs),
         ray.data.from_arrow_refs(reduced),
