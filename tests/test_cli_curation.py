@@ -53,7 +53,9 @@ def test_cli_scrub_rewrites_text_in_place(tmp_path):
     # rewritten text column keeps its position
     import pyarrow as pa
 
-    src = pq.read_table("/root/testdata/sf0.001/events.parquet")
+    from pathlib import Path
+
+    src = pq.read_table(str(Path(DOCS).with_name("events.parquet")))
     src = src.append_column("__scrubbed", pa.array(["keep"] * src.num_rows))
     inp = tmp_path / "events.parquet"
     pq.write_table(src, str(inp))
