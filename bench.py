@@ -92,7 +92,6 @@ def run_benchmarks() -> None:
         res = image_caption_dedup(
             path=docs_path,
             cfg=MinHashConfig(num_perm=128, bands=32, rows=4, ngram_size=2, hash_func="sha1"),
-            fingerprint_concurrency=max(1, min(NUM_CPUS - 1, NUM_CPUS // 2)),
             prefetch_payload=True,  # overlap the wide payload read with the
             # narrow signature/CC stages (see minhash_dedup docstring)
         )
@@ -130,7 +129,6 @@ def run_benchmarks() -> None:
             ds,
             text_column="caption",
             cfg=SimHashConfig(f=64, bit_diff=3, num_bucket=4, ngram_size=3, hash_func="sha1"),
-            fingerprint_concurrency=max(1, min(NUM_CPUS - 1, NUM_CPUS // 2)),
             signature_source=narrow,
             prefetch_payload=True,
         )
@@ -234,7 +232,6 @@ def run_benchmarks() -> None:
             state,
             text_column="caption",
             cfg=MinHashConfig(num_perm=128, bands=32, rows=4, ngram_size=2, hash_func="sha1"),
-            fingerprint_concurrency=(1, max(1, min(NUM_CPUS - 1, NUM_CPUS // 2))),
         )
         return res.deduped.count()
 
@@ -257,7 +254,6 @@ def run_benchmarks() -> None:
             inc_state["state"],
             text_column="caption",
             cfg=MinHashConfig(num_perm=128, bands=32, rows=4, ngram_size=2, hash_func="sha1"),
-            fingerprint_concurrency=(1, max(1, min(NUM_CPUS - 1, NUM_CPUS // 2))),
         )
         return res.deduped.count()
 
@@ -302,7 +298,6 @@ def run_benchmarks() -> None:
             state_b,
             text_column="caption",
             cfg=MinHashConfig(num_perm=128, bands=32, rows=4, ngram_size=2, hash_func="sha1"),
-            fingerprint_concurrency=(1, max(1, min(NUM_CPUS - 1, NUM_CPUS // 2))),
         )
 
     if not headline_only:

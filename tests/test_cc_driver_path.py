@@ -1,8 +1,16 @@
-"""The vectorized union-find kernel against the per-edge ``UnionFind``, and
+"""The vectorized union-find kernel against the per-edge ``UnionFind``,
 ``connected_components_auto`` fed by a Dataset or by ObjectRefs on both
-sides of ``driver_threshold``."""
+sides of ``driver_threshold``, and the pipelines in a child Ray with one
+CPU or with workers that cannot import the package."""
 
 from __future__ import annotations
+
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -11,7 +19,10 @@ import ray
 import ray.data
 
 from text_dedup_ray.functions.unionfind import UnionFind
+from text_dedup_ray.sources.io import ROW_ID
 from text_dedup_ray.stages.cc import component_min_labels, connected_components_auto
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _loop_clusters(src, dst) -> dict[int, int]:
@@ -133,16 +144,98 @@ class TestConnectedComponentsAuto:
         assert _as_dict(parents) == expected
 
 
-class TestOneCpuGuard:
-    @pytest.mark.parametrize("pipeline", ["minhash", "simhash"])
-    def test_fails_fast_below_two_cpus(self, monkeypatch, pipeline):
-        from text_dedup_ray.pipelines.minhash import minhash_dedup
-        from text_dedup_ray.pipelines.simhash import simhash_dedup
+def _pipeline_survivors(path: str) -> dict[str, list[int]]:
+    """Survivor row ids of the MinHash flagship (with the payload prefetch)
+    and of SimHash on the distributed CC path, over one parquet file."""
+    from text_dedup_ray.functions.minhash import MinHashConfig
+    from text_dedup_ray.functions.simhash import SimHashConfig
+    from text_dedup_ray.pipelines.images import image_caption_dedup, image_ids_to_row_ids
+    from text_dedup_ray.pipelines.simhash import simhash_dedup
 
-        fn = minhash_dedup if pipeline == "minhash" else simhash_dedup
-        ds = ray.data.from_arrow(
-            pa.table({"row_id": pa.array([0, 1], pa.int64()), "text": ["a b c", "a b c"]})
+    def ids(ds: ray.data.Dataset) -> list[int]:
+        return sorted(r[ROW_ID] for r in ds.select_columns([ROW_ID]).take_all())
+
+    mh = image_caption_dedup(
+        path=path,
+        cfg=MinHashConfig(num_perm=64, bands=16, rows=4, ngram_size=2, hash_func="sha1"),
+        prefetch_payload=True,
+    )
+    sh = simhash_dedup(
+        image_ids_to_row_ids(ray.data.read_parquet(path)),
+        text_column="caption",
+        cfg=SimHashConfig(hash_func="sha1"),
+        driver_threshold=0,
+        merge_partitions=4,
+    )
+    return {"minhash": ids(mh.deduped), "simhash": ids(sh.deduped)}
+
+
+_ONE_CPU_SCRIPT = """
+import json, sys
+import ray, ray.data
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+         log_to_driver=False, object_store_memory=100 * 1024**2)
+ray.data.DataContext.get_current().enable_progress_bars = False
+sys.path.insert(0, sys.argv[2])
+from test_cc_driver_path import _pipeline_survivors
+print(json.dumps(_pipeline_survivors(sys.argv[1])))
+"""
+
+_NO_PACKAGE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])  # the driver only: workers cannot import it
+import pyarrow as pa
+import ray, ray.data
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR",
+         log_to_driver=False, object_store_memory=100 * 1024**2)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from text_dedup_ray.pipelines.minhash import minhash_dedup
+ds = ray.data.from_arrow(pa.table({"row_id": list(range(4)), "text": ["a b c d e f"] * 4}))
+minhash_dedup(ds, text_column="text")
+"""
+
+
+def _run_isolated(args: list[str], cwd, env: dict, timeout: float):
+    """(returncode, output) of a child Python in its own session; on timeout
+    the whole session (the child's Ray processes too) is killed and the test
+    fails."""
+    proc = subprocess.Popen(
+        [sys.executable, *args], cwd=cwd, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True, start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{args[:2]} still running after {timeout:.0f} s")
+    return proc.returncode, out
+
+
+class TestIsolatedRay:
+    def test_one_cpu_matches_four(self, tmp_path):
+        # the fingerprint runs in tasks, so no actor pool holds the only CPU
+        from text_dedup_ray.data.gen import corpus_parquet
+
+        path, _ = corpus_parquet(400, seed=5, cache_dir=str(tmp_path))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT), RAY_USAGE_STATS_ENABLED="0")
+        code, out = _run_isolated(
+            ["-c", _ONE_CPU_SCRIPT, path, str(REPO_ROOT / "tests")], REPO_ROOT, env, 240
         )
-        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
-        with pytest.raises(ValueError, match="at least 2 logical CPUs"):
-            fn(ds, text_column="text")
+        assert code == 0, out[-3000:]
+        got = json.loads(out.strip().splitlines()[-1])
+        assert got == _pipeline_survivors(path)  # this session's Ray has 4 CPUs
+        assert 0 < len(got["minhash"]) < 400 and 0 < len(got["simhash"]) < 400
+
+    def test_workers_without_the_package_fail_fast(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["RAY_USAGE_STATS_ENABLED"] = "0"
+        probe = subprocess.run(
+            [sys.executable, "-c", "import text_dedup_ray"], cwd=tmp_path, env=env,
+            capture_output=True, timeout=60,
+        )
+        if probe.returncode == 0:
+            pytest.skip("text_dedup_ray is importable without the checkout on sys.path")
+        code, out = _run_isolated(["-c", _NO_PACKAGE_SCRIPT, str(REPO_ROOT)], tmp_path, env, 120)
+        assert code != 0
+        assert "No module named 'text_dedup_ray'" in out, out[-3000:]

@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cli_minhash(tmp_path):
@@ -33,7 +36,7 @@ hash_func = "sha1"
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -79,7 +82,7 @@ hash_func = "sha1"
     config.write_text(cfg(str(out1)))
     proc = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     stats = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -105,7 +108,7 @@ hash_func = "sha1"
     ))
     proc2 = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config2)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc2.returncode == 0, proc2.stderr[-2000:]
     stats2 = json.loads(proc2.stdout.strip().splitlines()[-1])
@@ -146,7 +149,7 @@ length_threshold = 100
     config.write_text(cfg(str(out1)))
     proc = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     stats = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -177,7 +180,7 @@ length_threshold = 100
     )
     proc2 = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config2)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc2.returncode == 0, proc2.stderr[-2000:]
     stats2 = json.loads(proc2.stdout.strip().splitlines()[-1])
@@ -217,7 +220,7 @@ threshold = 0.99
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -274,7 +277,7 @@ min_line_length = 5
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -318,7 +321,7 @@ de = 0.25
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -6,14 +6,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow.parquet as pq
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _audio_path() -> str:
     import sys as _s
 
-    _s.path.insert(0, "/root/repo")
+    _s.path.insert(0, str(REPO_ROOT))
     from text_dedup_ray.data.gen import audio_parquet
 
     path, _ = audio_parquet(150, seed=11, cache_dir="/tmp/tdr_atest")
@@ -25,7 +28,7 @@ def _run(config_path) -> dict:
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config_path)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

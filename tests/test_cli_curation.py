@@ -6,8 +6,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow.parquet as pq
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -17,7 +20,7 @@ def _run(config_path) -> dict:
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config_path)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -52,8 +55,6 @@ def test_cli_scrub_rewrites_text_in_place(tmp_path):
     # an input column named like a staging column must survive, and the
     # rewritten text column keeps its position
     import pyarrow as pa
-
-    from pathlib import Path
 
     src = pq.read_table(str(Path(DOCS).with_name("events.parquet")))
     src = src.append_column("__scrubbed", pa.array(["keep"] * src.num_rows))
@@ -188,7 +189,7 @@ length_threshold = 32
 def test_cli_multimodal(tmp_path):
     import sys as _s
 
-    _s.path.insert(0, "/root/repo")
+    _s.path.insert(0, str(REPO_ROOT))
     from text_dedup_ray.data.gen import corpus_parquet
 
     path, _ = corpus_parquet(1000, seed=42)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import duckdb
 import pyarrow.parquet as pq
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -40,7 +43,7 @@ num_buckets = 1024
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -75,7 +78,7 @@ rows_per_shard = 100
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

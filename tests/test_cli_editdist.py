@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import duckdb
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cli_editdist(tmp_path):
@@ -30,7 +33,7 @@ name = "editdist"
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

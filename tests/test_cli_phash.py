@@ -6,15 +6,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _corpus_table():
     import sys as _s
 
-    _s.path.insert(0, "/root/repo")
+    _s.path.insert(0, str(REPO_ROOT))
     from text_dedup_ray.data.gen import corpus_parquet
 
     path, _ = corpus_parquet(1000, seed=42)
@@ -28,7 +31,7 @@ def _run(config_path) -> dict:
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config_path)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

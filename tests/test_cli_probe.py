@@ -7,9 +7,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(config_path) -> dict:
@@ -17,7 +20,7 @@ def _run(config_path) -> dict:
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config_path)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -8,6 +8,9 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(config_path) -> dict:
@@ -15,7 +18,7 @@ def _run(config_path) -> dict:
         [sys.executable, "-m", "text_dedup_ray", "--config", str(config_path)],
         capture_output=True,
         text=True,
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

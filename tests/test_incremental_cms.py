@@ -6,6 +6,8 @@ convention."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 import pyarrow as pa
 import ray.data
@@ -22,6 +24,8 @@ from text_dedup_ray.pipelines.incremental_sketch import (
     hll_state_increment,
 )
 from text_dedup_ray.pipelines.sketch import cms_registers
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _events(ids):
@@ -98,7 +102,7 @@ def test_cli_cms_incremental(tmp_path):
     def run(config):
         proc = subprocess.run(
             [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
-            capture_output=True, text=True, cwd="/root/repo", timeout=240,
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         return _json.loads(proc.stdout.strip().splitlines()[-1])

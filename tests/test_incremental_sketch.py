@@ -5,6 +5,8 @@ sketch state via the shared convention."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pyarrow as pa
 import ray.data
 
@@ -19,6 +21,8 @@ from text_dedup_ray.pipelines.incremental_sketch import (
     hll_state_registers,
 )
 from text_dedup_ray.pipelines.sketch import hll_registers
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _events(ids, types):
@@ -114,7 +118,7 @@ def test_cli_hll_incremental(tmp_path):
     def run(config):
         proc = subprocess.run(
             [sys.executable, "-m", "text_dedup_ray", "--config", str(config)],
-            capture_output=True, text=True, cwd="/root/repo", timeout=240,
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         return _json.loads(proc.stdout.strip().splitlines()[-1])

@@ -8,6 +8,8 @@ Bloom) or additively (CMS), exactly as a concatenated re-run would.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -22,6 +24,8 @@ from text_dedup_ray.pipelines.incremental_sketch import (
     hll_state_registers,
     hll_state_union,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _events(ids, types):
@@ -223,7 +227,7 @@ out_state = "{su}"
     )
     proc = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(cfgf)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     stats = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -8,6 +8,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -18,6 +19,8 @@ from text_dedup_ray.pipelines.incremental import minhash_bootstrap, minhash_incr
 from text_dedup_ray.pipelines.incremental_exact import exact_bootstrap, exact_increment
 from text_dedup_ray.pipelines.incremental_sketch import hll_state_bootstrap
 from text_dedup_ray.state.fsck import check_state
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CFG = MinHashConfig(num_perm=32, bands=8, rows=4, hash_func="sha1")
 
@@ -130,7 +133,7 @@ state_dir = "{state}"
     )
     cmd = [sys.executable, "-m", "text_dedup_ray", "--config", str(cfgf)]
     proc = subprocess.run(cmd, capture_output=True, text=True,
-                          cwd="/root/repo", timeout=240)
+                          cwd=REPO_ROOT, timeout=240)
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["ok"] and out["algo"] == "minhash"
@@ -139,7 +142,7 @@ state_dir = "{state}"
     victim = sorted(glob.glob(f"{state}/v00002/reps/part-*.parquet"))[0]
     os.remove(victim)
     proc = subprocess.run(cmd, capture_output=True, text=True,
-                          cwd="/root/repo", timeout=240)
+                          cwd=REPO_ROOT, timeout=240)
     assert proc.returncode == 1
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert not out["ok"]

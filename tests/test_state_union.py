@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import glob
 import os
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -22,6 +23,8 @@ from text_dedup_ray.pipelines.incremental import (
     minhash_increment,
     minhash_state_union,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CFG = MinHashConfig(num_perm=32, bands=8, rows=4, hash_func="sha1")
 P = 4
@@ -157,7 +160,7 @@ out_state = "{su}"
     )
     proc = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(cfgf)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     stats = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -334,7 +337,7 @@ seed = 42
     )
     proc = subprocess.run(
         [sys.executable, "-m", "text_dedup_ray", "--config", str(cfgf)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240,
+        capture_output=True, text=True, cwd=REPO_ROOT, timeout=240,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     stats = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -117,7 +117,8 @@ class MinHashConfig:
 
 
 class MinHasher:
-    """Stateful vectorized signature kernel; hold one per actor (SURVEY ST1)."""
+    """Vectorized signature kernel: permutations and buffers are built once
+    per instance (SURVEY ST1); signatures never depend on earlier calls."""
 
     # shingle slab size: bounds the (slab x perm_chunk) working buffers so
     # per-batch allocations are reused, never freshly mmap'd (first-touch
@@ -140,10 +141,6 @@ class MinHasher:
         # stays: numpy's constant-divisor path beats a Mersenne
         # shift/add/min fold here (measured), so keep the simple form.
         self._pbuf = np.empty((perm_chunk, self.SLAB), dtype=self.dtype)
-        # shingle -> base-hash memo: shingles follow a Zipf distribution, so
-        # an actor-lifetime cache skips most sha1 calls (values unchanged)
-        self._memo: dict[bytes, int] = {}
-        self._memo_cap = 4_000_000
 
     def signatures(self, texts: list[str]) -> np.ndarray:
         """Return a (len(texts), num_perm) signature matrix.
@@ -154,15 +151,15 @@ class MinHasher:
         flat_hashes: list[int] = []
         counts = np.empty(len(texts), dtype=np.int64)
         hfun = self.hash_func
-        memo = self._memo
-        if len(memo) > self._memo_cap:
-            memo.clear()
+        # shingle -> base-hash memo for this call only: shingles follow a
+        # Zipf distribution, so most sha1 calls within a batch are repeats
+        memo: dict[bytes, int] = {}
         mget = memo.get
         for i, text in enumerate(texts):
             sh = shingle_set(text, cfg.ngram_size, cfg.min_length)
             counts[i] = len(sh)
             # C-level bulk lookup; the per-shingle Python loop runs only on
-            # memo misses (cold start), not the Zipf-warm common case
+            # memo misses, not the Zipf-warm common case
             vals = list(map(mget, sh))
             if None in vals:
                 for j, s in enumerate(sh):  # set iteration order is stable

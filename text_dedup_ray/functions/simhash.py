@@ -261,8 +261,6 @@ class SimHasher:
         self.cfg = cfg
         self.perms = create_permutations(cfg.f, cfg.bit_diff, cfg.num_bucket)
         self.hash_func = cfg.base_hash()
-        self._memo: dict[bytes, bytes] = {}  # shingle -> hash bytes (Zipf cache)
-        self._memo_cap = 4_000_000
 
     def signature(self, text: str) -> int:
         shingles = shingle_set(text, self.cfg.ngram_size, self.cfg.min_length)
@@ -288,9 +286,7 @@ class SimHasher:
         hfun = self.hash_func
         counts = np.empty(len(texts), dtype=np.int64)
         chunks: list[bytes] = []
-        memo = self._memo
-        if len(memo) > self._memo_cap:
-            memo.clear()
+        memo: dict[bytes, bytes] = {}  # shingle -> hash bytes, this call only
         for i, text in enumerate(texts):
             sh = shingle_set(text, self.cfg.ngram_size, self.cfg.min_length)
             counts[i] = len(sh)

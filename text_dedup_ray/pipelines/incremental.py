@@ -60,12 +60,12 @@ import ray.data
 from ..functions.minhash import MinHashConfig
 from ..functions.timer import Timer
 from ..functions.unionfind import component_min_labels
-from ..sources.io import ROW_ID, stamp_row_ids_from_key
+from ..sources.io import ROW_ID, require_row_id, stamp_row_ids_from_key
 from ..stages.assign import assign_clusters, assign_clusters_sharded, filter_cluster_roots
 from ..stages.cc import connected_components_auto
 from ..stages.edges import _binary_to_u8, _fixed_binary, _group_min, _void_view, minhash_rep_part
 from ..stages.exchange import tagged_split_map
-from ..stages.fingerprint import MinHashFingerprinter
+from ..stages.fingerprint import MinHashFingerprinter, fingerprint_map
 from ..state.checkpoint import config_hash
 from .minhash import min_length_filter
 
@@ -521,7 +521,6 @@ def minhash_bootstrap(
     text_column: str = "text",
     cfg: MinHashConfig | None = None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     num_partitions: int = 64,
     driver_threshold: int = 2_000_000,
@@ -538,20 +537,16 @@ def minhash_bootstrap(
     timer = Timer()
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
 
     if max_row_id is None:
         ds_max = ds.select_columns([ROW_ID]).max(ROW_ID)
         max_row_id = -1 if ds_max is None else int(ds_max)
     filtered = min_length_filter(ds, text_column, cfg.min_length)
     narrow = filtered.select_columns([ROW_ID, text_column])
-    local = narrow.map_batches(
-        MinHashFingerprinter,
-        fn_constructor_args=(cfg, text_column, "buckets"),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    local = fingerprint_map(
+        narrow, MinHashFingerprinter, (cfg, text_column, "buckets"), fingerprint_batch_size
     )
     version = 1
     _clean_version_dir(state_dir, version)
@@ -600,7 +595,6 @@ def minhash_increment(
     text_column: str = "text",
     cfg: MinHashConfig | None = None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     driver_threshold: int = 2_000_000,
     validate_ids: bool = True,
@@ -626,18 +620,14 @@ def minhash_increment(
 
     if id_column is not None:
         new_ds = stamp_row_ids_from_key(new_ds, id_column)
-    elif ROW_ID not in new_ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        new_ds = require_row_id(new_ds)
     new_max = _resolve_batch_bounds(new_ds, prior_max, validate_ids, batch_id_range)
 
     filtered = min_length_filter(new_ds, text_column, cfg.min_length)
     narrow = filtered.select_columns([ROW_ID, text_column])
-    local = narrow.map_batches(
-        MinHashFingerprinter,
-        fn_constructor_args=(cfg, text_column, "buckets"),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    local = fingerprint_map(
+        narrow, MinHashFingerprinter, (cfg, text_column, "buckets"), fingerprint_batch_size
     )
     version = prior_version + 1
     _clean_version_dir(state_dir, version)
@@ -762,7 +752,6 @@ def minhash_probe_vs_state(
     text_column: str = "text",
     cfg: MinHashConfig | None = None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
 ) -> ray.data.Dataset:
     """READ-ONLY LSH candidate probe against a saved MinHash state: per new
@@ -798,24 +787,21 @@ def minhash_probe_vs_state(
             "state was built with a different MinHash config/text column; "
             "probing requires identical shingle/signature settings"
         )
-    if id_column is None and ROW_ID not in new_ds.schema().names:
-        id_column = meta.get("id_column")
     if id_column is not None:
         new_ds = stamp_row_ids_from_key(new_ds, id_column)
-    elif ROW_ID not in new_ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    elif meta.get("id_column") is not None:
+        # batches without a row_id take it from the state's id column
+        new_ds = stamp_row_ids_from_key(new_ds, meta["id_column"], keep_existing=True)
+    else:
+        new_ds = require_row_id(new_ds)
     version = int(meta["version"])
     num_partitions = int(meta["num_partitions"])
     key_width = _key_width(cfg)
 
     filtered = min_length_filter(new_ds, text_column, cfg.min_length)
     narrow = filtered.select_columns([ROW_ID, text_column])
-    sig = narrow.map_batches(
-        MinHashFingerprinter,
-        fn_constructor_args=(cfg, text_column, "sig"),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    sig = fingerprint_map(
+        narrow, MinHashFingerprinter, (cfg, text_column, "sig"), fingerprint_batch_size
     )
 
     def keyify(batch: pa.Table) -> pa.Table:
@@ -1234,7 +1220,6 @@ def simhash_bootstrap(
     text_column: str = "text",
     cfg=None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     num_partitions: int = 64,
     driver_threshold: int = 2_000_000,
@@ -1260,29 +1245,18 @@ def simhash_bootstrap(
     timer = Timer()
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
     if max_row_id is None:
         ds_max = ds.select_columns([ROW_ID]).max(ROW_ID)
         max_row_id = -1 if ds_max is None else int(ds_max)
     if signature_column is not None:
         narrow = ds.select_columns([ROW_ID, signature_column])
-        local = narrow.map_batches(
-            SigPassthroughFingerprinter,
-            fn_constructor_args=(cfg, signature_column),
-            batch_format="pyarrow",
-            batch_size=fingerprint_batch_size,
-            concurrency=fingerprint_concurrency,
-        )
+        fp, args = SigPassthroughFingerprinter, (cfg, signature_column)
     else:
         narrow = ds.select_columns([ROW_ID, text_column])
-        local = narrow.map_batches(
-            SimHashFingerprinter,
-            fn_constructor_args=(cfg, text_column, "buckets"),
-            batch_format="pyarrow",
-            batch_size=fingerprint_batch_size,
-            concurrency=fingerprint_concurrency,
-        )
+        fp, args = SimHashFingerprinter, (cfg, text_column, "buckets")
+    local = fingerprint_map(narrow, fp, args, fingerprint_batch_size)
     version = 1
     _clean_version_dir(state_dir, version)
     with timer("fingerprint+rep_index"):
@@ -1331,7 +1305,6 @@ def simhash_increment(
     text_column: str = "text",
     cfg=None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     driver_threshold: int = 2_000_000,
     max_distinct_sigs: int = 8192,
@@ -1363,27 +1336,16 @@ def simhash_increment(
     timer = Timer()
     if id_column is not None:
         new_ds = stamp_row_ids_from_key(new_ds, id_column)
-    elif ROW_ID not in new_ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        new_ds = require_row_id(new_ds)
     new_max = _resolve_batch_bounds(new_ds, prior_max, validate_ids, batch_id_range)
     if signature_column is not None:
         narrow = new_ds.select_columns([ROW_ID, signature_column])
-        local = narrow.map_batches(
-            SigPassthroughFingerprinter,
-            fn_constructor_args=(cfg, signature_column),
-            batch_format="pyarrow",
-            batch_size=fingerprint_batch_size,
-            concurrency=fingerprint_concurrency,
-        )
+        fp, args = SigPassthroughFingerprinter, (cfg, signature_column)
     else:
         narrow = new_ds.select_columns([ROW_ID, text_column])
-        local = narrow.map_batches(
-            SimHashFingerprinter,
-            fn_constructor_args=(cfg, text_column, "buckets"),
-            batch_format="pyarrow",
-            batch_size=fingerprint_batch_size,
-            concurrency=fingerprint_concurrency,
-        )
+        fp, args = SimHashFingerprinter, (cfg, text_column, "buckets")
+    local = fingerprint_map(narrow, fp, args, fingerprint_batch_size)
     version = prior_version + 1
     _clean_version_dir(state_dir, version)
     with timer("fingerprint+rep_index"):

@@ -7,8 +7,8 @@ optional Jaccard verify -> keep cluster roots -> save.
 This pipeline keeps the same semantics but streams end-to-end:
 
   stamp row_id -> filter(min_length) -> [narrow: row_id+text]
-    -> MinHashFingerprinter actor pool: signatures, then local bucket
-       star-edges + per-bucket reps, fused                # vectorized batches
+    -> MinHashFingerprinter in fused stateless tasks: signatures, then
+       local bucket star-edges + per-bucket reps          # vectorized batches
     -> tagged split exchange: edges pass through, reps
        hash-partitioned and merged                        # the only shuffle
     -> CC on the exchange's ObjectRefs: one vectorized union-find on the
@@ -35,7 +35,7 @@ import ray.data
 from ..functions.minhash import MinHashConfig
 from ..functions.timer import Timer
 from ..functions.tokenization import token_count
-from ..sources.io import ROW_ID, stamp_row_ids_from_key
+from ..sources.io import ROW_ID, require_row_id, stamp_row_ids_from_key
 from ..stages.assign import (
     CLUSTER_COLUMN,
     assign_clusters,
@@ -48,12 +48,8 @@ from ..stages.edges import (
     minhash_rep_part,
     minhash_rep_reduce,
 )
-from ..stages.exchange import (
-    hash_partition_exchange,
-    require_streaming_cpus,
-    tagged_split_exchange_refs,
-)
-from ..stages.fingerprint import MinHashFingerprinter
+from ..stages.exchange import hash_partition_exchange, tagged_split_exchange_refs
+from ..stages.fingerprint import MinHashFingerprinter, fingerprint_map
 from .verify import verify_clusters_auto
 
 logger = logging.getLogger(__name__)
@@ -110,7 +106,6 @@ def minhash_dedup(
     cfg: MinHashConfig | None = None,
     id_column: str | None = None,
     skip_filtering: bool = False,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     merge_partitions: int = 64,
     signature_source: ray.data.Dataset | None = None,
@@ -152,24 +147,20 @@ def minhash_dedup(
     """
     cfg = cfg or MinHashConfig()
     if b_bits is not None and b_bits not in (8, 16):
-        # validate on the driver: inside the actor pool the same check would
-        # surface as an opaque RayActorError at first execution
+        # validate on the driver: inside the fingerprint tasks the same
+        # check would surface only at first execution, wrapped by Ray
         raise ValueError("b_bits must be 8 or 16 (byte-aligned)")
-    cpus = require_streaming_cpus("minhash_dedup")
     timer = Timer()
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
 
     filtered = min_length_filter(ds, text_column, cfg.min_length)
 
     prefetch: dict = {}
     prefetch_thread = None
-    # the background materialize needs CPU slots alongside the fingerprint
-    # actor pool; on tiny clusters (<4 CPUs) the two can starve each other
-    # into a deadlock — stream the final pass instead there.
-    if prefetch_payload and (cpus is None or cpus >= 4):
+    if prefetch_payload:
         import threading
 
         def _materialize_payload(pf=filtered):
@@ -183,22 +174,18 @@ def minhash_dedup(
 
     if signature_source is not None:
         src = signature_source
-        if id_column is not None and ROW_ID not in src.schema().names:
-            src = stamp_row_ids_from_key(src, id_column)
+        if id_column is not None:
+            src = stamp_row_ids_from_key(src, id_column, keep_existing=True)
         narrow = min_length_filter(src, text_column, cfg.min_length)
         narrow = narrow.select_columns([ROW_ID, text_column])
     else:
         narrow = filtered.select_columns([ROW_ID, text_column])
-    # the bucket kernel runs fused inside the fingerprint actor (emit=
-    # "buckets"): an actor-pool stage can't fuse with a downstream task
-    # stage, and the un-fused plan pays a full object-store round trip over
-    # the exploded band table (bands x the input row count)
-    local = narrow.map_batches(
-        MinHashFingerprinter,
-        fn_constructor_args=(cfg, text_column, "buckets", b_bits),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    # the bucket kernel runs in the fingerprint call (emit="buckets"), so
+    # the exploded band table (bands x the input row count) never reaches
+    # the object store
+    local = fingerprint_map(
+        narrow, MinHashFingerprinter, (cfg, text_column, "buckets", b_bits),
+        fingerprint_batch_size,
     )
     # one streaming pass over the tagged bucket blocks: edges pass through,
     # reps are hash-partitioned and merged — the split tasks launch while the
@@ -287,7 +274,6 @@ def minhash_threshold_sweep(
     cfg: MinHashConfig | None = None,
     band_configs: "list[tuple[int, int]] | None" = None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     merge_partitions: int = 16,
     driver_threshold: int = 2_000_000,
@@ -297,7 +283,7 @@ def minhash_threshold_sweep(
     curation team answers before committing a threshold to a 100 TB run.
 
     The expensive stage (tokenize + shingle + permute: ~70% of dedup wall)
-    runs ONCE: a ``SigMatrixFingerprinter`` actor pool emits one compact
+    runs ONCE: ``SigMatrixFingerprinter`` tasks emit one compact
     byteswapped signature row per doc, the narrow (row_id, num_perm x item
     bytes) table materializes in the object store, and each config re-bands
     by SLICING those bytes (band b = bytes [b*rows*item, (b+1)*rows*item) —
@@ -325,17 +311,13 @@ def minhash_threshold_sweep(
             )
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
 
     filtered = min_length_filter(ds, text_column, cfg.min_length)
     narrow = filtered.select_columns([ROW_ID, text_column])
-    sig_ds = narrow.map_batches(
-        SigMatrixFingerprinter,
-        fn_constructor_args=(cfg, text_column),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    sig_ds = fingerprint_map(
+        narrow, SigMatrixFingerprinter, (cfg, text_column), fingerprint_batch_size
     ).materialize()
     n_docs = sig_ds.count()
     from ..functions.minhash import HASH_CONFIG
@@ -435,7 +417,6 @@ def minhash_dedup_checkpointed(
     cfg: MinHashConfig | None = None,
     id_column: str | None = None,
     skip_filtering: bool = False,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     merge_partitions: int = 64,
     driver_threshold: int = 2_000_000,
@@ -466,8 +447,8 @@ def minhash_dedup_checkpointed(
     timer = Timer()
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
 
     manager = CheckpointManager(checkpoint_root)
     filtered = min_length_filter(ds, text_column, cfg.min_length)
@@ -479,7 +460,6 @@ def minhash_dedup_checkpointed(
             text_column,
             manager,
             source_fingerprint,
-            fingerprint_concurrency=fingerprint_concurrency,
             fingerprint_batch_size=fingerprint_batch_size,
         )
 
@@ -565,7 +545,6 @@ def minhash_cross_join(
     right_id: str | None = None,
     right_text_column: str | None = None,
     num_partitions: int = 32,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     max_bucket: int = 4096,
 ) -> ray.data.Dataset:
@@ -586,16 +565,12 @@ def minhash_cross_join(
     right_text_column = right_text_column or text_column
 
     def fingerprint_side(ds: ray.data.Dataset, col: str, side: int, idc):
-        if idc is not None and ROW_ID not in (ds.schema().names or []):
-            ds = stamp_row_ids_from_key(ds, idc)
+        if idc is not None:
+            ds = stamp_row_ids_from_key(ds, idc, keep_existing=True)
         narrow = min_length_filter(ds, col, cfg.min_length)
         narrow = narrow.select_columns([ROW_ID, col])
-        sig = narrow.map_batches(
-            MinHashFingerprinter,
-            fn_constructor_args=(cfg, col, "sig"),
-            batch_format="pyarrow",
-            batch_size=fingerprint_batch_size,
-            concurrency=fingerprint_concurrency,
+        sig = fingerprint_map(
+            narrow, MinHashFingerprinter, (cfg, col, "sig"), fingerprint_batch_size
         )
 
         def tag(batch: pa.Table) -> pa.Table:

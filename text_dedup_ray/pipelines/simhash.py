@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import ray.data
 
 from ..functions.simhash import SimHashConfig
-from ..sources.io import ROW_ID, stamp_row_ids_from_key
+from ..sources.io import ROW_ID, require_row_id, stamp_row_ids_from_key
 from ..stages.assign import assign_clusters, assign_clusters_sharded, filter_non_duplicates
 from ..stages.cc import connected_components_auto
 from ..stages.edges import simhash_rep_part, simhash_rep_reduce
-from ..stages.exchange import require_streaming_cpus, tagged_split_exchange_refs
-from ..stages.fingerprint import SimHashFingerprinter
+from ..stages.exchange import tagged_split_exchange_refs
+from ..stages.fingerprint import SimHashFingerprinter, fingerprint_map
 from .verify import verify_clusters_auto
 
 
@@ -48,7 +48,6 @@ def simhash_dedup(
     cfg: SimHashConfig | None = None,
     id_column: str | None = None,
     skip_filtering: bool = False,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     merge_partitions: int = 64,
     signature_source: ray.data.Dataset | None = None,
@@ -57,17 +56,16 @@ def simhash_dedup(
 ) -> SimHashDedupResult:
     """``prefetch_payload``: materialize the (wide) payload dataset in a
     background thread while the narrow signature/CC stages run — same
-    latency optimization (and same <4-CPU guard) as minhash_dedup."""
+    latency optimization as minhash_dedup."""
     cfg = cfg or SimHashConfig()
-    cpus = require_streaming_cpus("simhash_dedup")
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
 
     prefetch: dict = {}
     prefetch_thread = None
-    if prefetch_payload and (cpus is None or cpus >= 4):
+    if prefetch_payload:
         import threading
 
         def _materialize_payload(pf=ds):
@@ -81,20 +79,17 @@ def simhash_dedup(
 
     if signature_source is not None:
         src = signature_source
-        if id_column is not None and ROW_ID not in src.schema().names:
-            src = stamp_row_ids_from_key(src, id_column)
+        if id_column is not None:
+            src = stamp_row_ids_from_key(src, id_column, keep_existing=True)
         narrow = src.select_columns([ROW_ID, text_column])
     else:
         narrow = ds.select_columns([ROW_ID, text_column])
-    # bucket kernel fused into the actor (emit="buckets") — see
-    # MinHashFingerprinter: actor->task stages don't fuse, and the split plan
-    # pays an object-store round trip over the exploded signature table
-    local = narrow.map_batches(
-        SimHashFingerprinter,
-        fn_constructor_args=(cfg, text_column, "buckets"),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    # the bucket kernel runs in the fingerprint call (emit="buckets") — see
+    # MinHashFingerprinter: the exploded signature table never reaches the
+    # object store
+    local = fingerprint_map(
+        narrow, SimHashFingerprinter, (cfg, text_column, "buckets"),
+        fingerprint_batch_size,
     )
     # one streaming split pass over the tagged bucket blocks (see
     # minhash.py / stages.exchange.tagged_split_exchange)
@@ -183,7 +178,6 @@ def simhash_threshold_sweep(
     cfg: SimHashConfig | None = None,
     bit_diffs: "list[int] | None" = None,
     id_column: str | None = None,
-    fingerprint_concurrency: int | tuple[int, int] = (1, 8),
     fingerprint_batch_size: int = 2048,
     merge_partitions: int = 16,
     driver_threshold: int = 2_000_000,
@@ -194,7 +188,7 @@ def simhash_threshold_sweep(
     committing a radius to a 100 TB run.
 
     The expensive stage (tokenize + md5 + bit-majority, >80% of dedup wall)
-    runs ONCE: a ``SimHashSignaturer`` actor pool emits one raw 64-bit
+    runs ONCE: ``SimHashSignaturer`` tasks emit one raw 64-bit
     signature per doc and the narrow (row_id, sig) table materializes in
     the object store. Each radius then pays only its own key/permutation
     pass (``SigPassthroughFingerprinter`` — identical keys to a fresh
@@ -227,28 +221,19 @@ def simhash_threshold_sweep(
             )
     if id_column is not None:
         ds = stamp_row_ids_from_key(ds, id_column)
-    elif ROW_ID not in ds.schema().names:
-        raise ValueError("dataset must have a row_id column or pass id_column")
+    else:
+        ds = require_row_id(ds)
 
     narrow = ds.select_columns([ROW_ID, text_column])
-    sig_ds = narrow.map_batches(
-        SimHashSignaturer,
-        fn_constructor_args=(cfg, text_column),
-        batch_format="pyarrow",
-        batch_size=fingerprint_batch_size,
-        concurrency=fingerprint_concurrency,
+    sig_ds = fingerprint_map(
+        narrow, SimHashSignaturer, (cfg, text_column), fingerprint_batch_size
     ).materialize()
     n_docs = sig_ds.count()
 
     out_rows = []
     for k in bit_diffs:
         cfg_k = replace(cfg, bit_diff=k)
-        local = sig_ds.map_batches(
-            SigPassthroughFingerprinter,
-            fn_constructor_args=(cfg_k, "sig"),
-            batch_format="pyarrow",
-            concurrency=fingerprint_concurrency,
-        )
+        local = fingerprint_map(sig_ds, SigPassthroughFingerprinter, (cfg_k, "sig"), None)
         edge_refs, reduced_refs, _rows = tagged_split_exchange_refs(
             local,
             "is_edge",

@@ -36,6 +36,7 @@ except ImportError:  # pragma: no cover
     HAS_LANCE = False
 
 ROW_ID = "row_id"
+NO_ROW_ID = "dataset must have a row_id column or pass id_column"
 
 
 def _expand(paths: str | Iterable[str]) -> list[str]:
@@ -79,11 +80,36 @@ def read_table(
     return ds
 
 
-def stamp_row_ids_from_key(ds: ray.data.Dataset, id_column: str) -> ray.data.Dataset:
+def _check_row_id(batch: pa.Table) -> pa.Table:
+    if batch.num_columns and ROW_ID not in batch.column_names:
+        raise ValueError(NO_ROW_ID)
+    return batch
+
+
+def require_row_id(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` unchanged when it has a ``row_id`` column. Raises ValueError at
+    once when the schema is already known without running anything (e.g.
+    ``from_arrow`` or a parquet read); otherwise the same ValueError comes
+    from a per-batch check fused into the dataset's first execution, so no
+    extra execution runs only to read the schema."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        return ds.map_batches(_check_row_id, batch_format="pyarrow", batch_size=None)
+    if ROW_ID not in schema.names:
+        raise ValueError(NO_ROW_ID)
+    return ds
+
+
+def stamp_row_ids_from_key(
+    ds: ray.data.Dataset, id_column: str, keep_existing: bool = False
+) -> ray.data.Dataset:
     """Fast path: derive ``row_id`` from an existing unique integer key
-    (e.g. ``doc_id``), order-stable by construction."""
+    (e.g. ``doc_id``), order-stable by construction. ``keep_existing``
+    leaves batches that already carry a ``row_id`` unchanged."""
 
     def add(batch: pa.Table) -> pa.Table:
+        if keep_existing and ROW_ID in batch.column_names:
+            return batch
         ids = pc.cast(batch[id_column], pa.int64())
         if ROW_ID in batch.column_names:
             batch = batch.drop_columns([ROW_ID])
@@ -254,9 +280,14 @@ def write_output(
     ``overwrite=False`` to append (e.g. sharded runs writing disjoint parts
     into one directory)."""
     if drop_internal:
-        present = [c for c in internal_columns if c in ds.schema().names]
-        if present:
-            ds = ds.drop_columns(present)
+        # per batch, fused into the write: reading the schema first would
+        # run the whole upstream plan on one block
+        internal = set(internal_columns)
+        ds = ds.map_batches(
+            lambda t: t.drop_columns([c for c in t.column_names if c in internal]),
+            batch_format="pyarrow",
+            batch_size=None,
+        )
     if "://" not in path:
         os.makedirs(path, exist_ok=True)  # 0-row results still yield a dir
         if overwrite and os.path.isdir(path):

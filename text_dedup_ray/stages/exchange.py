@@ -252,22 +252,6 @@ def _split_tagged_block(
     ]
 
 
-def require_streaming_cpus(caller: str) -> float | None:
-    """The cluster's logical CPU count (None before ``ray.init``). Raises
-    ValueError below 2: the tagged split's tasks run while the upstream
-    fingerprint actor pool still holds its CPU, so on a one-CPU cluster a
-    pipeline over parquet input never returns (no error, no progress)."""
-    if not ray.is_initialized():
-        return None
-    cpus = ray.cluster_resources().get("CPU", 0)
-    if cpus < 2:
-        raise ValueError(
-            f"{caller} needs a Ray cluster with at least 2 logical CPUs "
-            f"(found {cpus:g}): start Ray with ray.init(num_cpus=2) or more"
-        )
-    return cpus
-
-
 def tagged_split_map(
     ds: ray.data.Dataset,
     tag_col: str,

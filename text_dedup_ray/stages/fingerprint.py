@@ -1,11 +1,15 @@
-"""Fingerprint stages — stateful actor-pool ``map_batches`` callables.
+"""Fingerprint stages — ``map_batches`` callables run as fused stateless tasks.
 
 The reference fingerprints one document per call (``batched=True,
-batch_size=1``, minhash.py:33-45). Here each actor builds its permutation
-state once in ``__init__`` (SURVEY ST1/ST2) and processes thousands of rows
-per batch, emitting a *narrow* exploded signature table — ``row_id`` plus
-signature columns only, never the payload columns, so the wide LSH shuffle
-moves no document/image bytes (SURVEY §7.4).
+batch_size=1``, minhash.py:33-45). Here :func:`fingerprint_map` runs a
+fingerprint class over thousands of rows per batch in plain Ray Data tasks,
+which fuse with the surrounding task stages and hold no CPU between
+batches. Each worker process builds one instance per (class, arguments) and
+reuses it, so the permutation state is built once per process, not per
+batch (SURVEY ST1/ST2). The classes stay valid actor-pool callables too.
+Every class emits a *narrow* table — ``row_id`` plus signature columns
+only, never the payload columns, so the wide LSH shuffle moves no
+document/image bytes (SURVEY §7.4).
 
 Output schemas:
 - MinHash: ``(row_id:int64, band_idx:int32, band_val:fixed_size_binary)``
@@ -23,21 +27,54 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray.data
 
 from ..functions.minhash import MinHashConfig, MinHasher
 from ..functions.simhash import SimHashConfig, SimHasher
 
+# one fingerprinter per (class name, repr(args)) per worker process; the
+# permutation tables and buffers are built on a process's first batch. The
+# bound keeps a long-lived worker that sees many configs from holding every
+# instance (a MinHasher keeps an 8 MB permutation buffer).
+_FINGERPRINTERS: dict[tuple[str, str], object] = {}
+_MAX_FINGERPRINTERS = 8
+
+
+def _fingerprint_batch(batch: pa.Table, cls: type, args: tuple) -> pa.Table:
+    key = (cls.__name__, repr(args))
+    fp = _FINGERPRINTERS.get(key)
+    if fp is None:
+        if len(_FINGERPRINTERS) >= _MAX_FINGERPRINTERS:
+            _FINGERPRINTERS.pop(next(iter(_FINGERPRINTERS)))
+        fp = _FINGERPRINTERS[key] = cls(*args)
+    return fp(batch)
+
+
+def fingerprint_map(
+    ds: ray.data.Dataset, cls: type, args: tuple, batch_size: int | None
+) -> ray.data.Dataset:
+    """``ds`` fingerprinted by ``cls(*args)`` in stateless tasks that fuse
+    with the neighbouring task stages (no actor pool holds a CPU for the
+    whole execution). Output is bit-identical to
+    ``map_batches(cls, fn_constructor_args=args)``: the instances keep no
+    state that depends on the batches they saw."""
+    return ds.map_batches(
+        _fingerprint_batch,
+        fn_kwargs={"cls": cls, "args": args},
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
+
 
 class MinHashFingerprinter:
-    """Actor: batch of (row_id, text) -> exploded band rows.
+    """Batch of (row_id, text) -> exploded band rows.
 
     ``emit="buckets"`` applies the stage-1 bucket kernel
-    (``stages.edges.minhash_local_buckets``) to each signature batch inside
-    the actor: Ray Data cannot fuse an actor-pool stage with a downstream
-    task stage, so keeping them separate costs a full extra pass (and an
-    object-store round trip) over the exploded band table — ~32x the row
-    count of the input. Bucket-scope granularity (per batch vs per block) is
-    semantics-free: the rep-merge exchange unifies buckets across scopes."""
+    (``stages.edges.minhash_local_buckets``) to each signature batch in the
+    same call, so the exploded band table — ~32x the row count of the
+    input — never reaches the object store. Bucket-scope granularity (per
+    batch vs per block) is semantics-free: the rep-merge exchange unifies
+    buckets across scopes."""
 
     def __init__(
         self,
@@ -106,7 +143,7 @@ class MinHashFingerprinter:
 
 
 class SigMatrixFingerprinter:
-    """Actor: batch of (row_id, text) -> ONE row per doc carrying the whole
+    """Batch of (row_id, text) -> ONE row per doc carrying the whole
     compact byteswapped signature matrix as ``sig: binary(num_perm * item)``.
 
     The threshold-sweep pipeline fingerprints once and re-bands per
@@ -147,9 +184,9 @@ class SigMatrixFingerprinter:
 
 
 class SimHashFingerprinter:
-    """Actor: batch of (row_id, text) -> one row per (doc, permutation).
+    """Batch of (row_id, text) -> one row per (doc, permutation).
 
-    ``emit="buckets"`` fuses the stage-1 bucket kernel into the actor —
+    ``emit="buckets"`` applies the stage-1 bucket kernel in the same call —
     same rationale as :class:`MinHashFingerprinter`."""
 
     def __init__(
@@ -197,7 +234,7 @@ class SimHashFingerprinter:
 
 
 class SimHashSignaturer:
-    """Actor: batch of (row_id, text) -> ONE row per doc carrying the raw
+    """Batch of (row_id, text) -> ONE row per doc carrying the raw
     64-bit SimHash signature (as its int64 bit view — Arrow-friendly).
 
     The Hamming-radius sweep fingerprints ONCE (tokenize + md5 + bit

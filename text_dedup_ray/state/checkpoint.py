@@ -123,14 +123,13 @@ def checkpointed_minhash_signatures(
     text_column: str,
     manager: CheckpointManager,
     source_fingerprint: str,
-    fingerprint_concurrency=(1, 8),
     fingerprint_batch_size: int = 2048,
 ) -> tuple[ray.data.Dataset, bool]:
     """The expensive MinHash signature stage behind a checkpoint: resuming a
     killed run skips fingerprinting entirely when (source, config) match."""
     from dataclasses import asdict
 
-    from ..stages.fingerprint import MinHashFingerprinter
+    from ..stages.fingerprint import MinHashFingerprinter, fingerprint_map
 
     conf = config_hash(
         {"algo": "minhash_signatures", "cfg": asdict(cfg), "text_column": text_column},
@@ -139,12 +138,8 @@ def checkpointed_minhash_signatures(
 
     def compute() -> ray.data.Dataset:
         narrow = ds.select_columns(["row_id", text_column])
-        return narrow.map_batches(
-            MinHashFingerprinter,
-            fn_constructor_args=(cfg, text_column),
-            batch_format="pyarrow",
-            batch_size=fingerprint_batch_size,
-            concurrency=fingerprint_concurrency,
+        return fingerprint_map(
+            narrow, MinHashFingerprinter, (cfg, text_column), fingerprint_batch_size
         )
 
     return manager.stage("minhash_signatures", conf, compute, parents=[source_fingerprint])
