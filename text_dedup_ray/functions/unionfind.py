@@ -8,10 +8,11 @@ which (a) matches the reference's published cluster-representative convention
 and (b) is order-independent — essential for a distributed reduction whose
 input edge order depends on task scheduling.
 
-Also provides the vectorized kernel behind the driver and tree-reduce paths
-of stages/cc.py: ``component_min_labels`` labels each node of an edge array
-with its component minimum, and ``reduce_edges`` collapses an edge array to
-its spanning star (node -> component-min) edges.
+Also provides the vectorized kernel behind every path of stages/cc.py:
+``component_min_labels`` labels each node of an edge array with its component
+minimum, and ``reduce_edges`` collapses an edge array to its spanning star
+(node -> component-min) edges. The package runs only the kernel; the class
+stays as the plain reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def reduce_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
     components *within this edge set*.
 
     Output has one edge per non-root member, so a block of E edges reduces to
-    at most ``distinct_nodes - n_components`` edges — the contraction step of
-    the tree-reduced distributed CC.
+    at most ``distinct_nodes - n_components`` edges — the fold step of
+    stages/cc.py.
     """
     nodes, roots = component_min_labels(src, dst)
     keep = nodes != roots

@@ -312,11 +312,7 @@ def _bloom_reduce_write(
 
     import pyarrow.parquet as pq
 
-    parts = []
-    for t in tables:
-        t = t[0] if isinstance(t, list) else t
-        if t.num_rows > 0:
-            parts.append(t)
+    parts = [t for t in tables if t.num_rows > 0]
     if prior_path is not None and os.path.exists(prior_path):
         packed = pq.read_table(prior_path)["bits"][0].as_py()
         prior = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:m].astype(bool)
@@ -332,9 +328,8 @@ def _bloom_reduce_write(
         return pa.table(
             {ROW_ID: pa.array([], pa.int64()), "duplicate": pa.array([], pa.bool_())}
         )
-    schema_src = tables[0] if not isinstance(tables[0], list) else tables[0][0]
     if not parts:
-        group = schema_src.slice(0, 0)
+        group = tables[0].slice(0, 0)
         dup = np.zeros(0, dtype=bool)
         bits = prior
     else:

@@ -12,8 +12,8 @@ This pipeline keeps the same semantics but streams end-to-end:
     -> tagged split exchange: edges pass through, reps
        hash-partitioned and merged                        # the only shuffle
     -> CC on the exchange's ObjectRefs: one vectorized union-find on the
-       driver when the edges fit driver_threshold, else tree reduce /
-       distributed CC
+       driver when the edges fit driver_threshold, else a FANIN-to-1 fold
+       of reduce_edges tasks into a sharded Dataset map
     -> broadcast (or sharded) cluster map -> assign -> [verify] -> filter roots
 
 Payload columns (image bytes etc.) never enter the shuffle: signatures ride
@@ -134,9 +134,10 @@ def minhash_dedup(
     instead of dragging image bytes through the fingerprint stage.
 
     ``driver_threshold``: max reduced-edge count the driver union-find will
-    hold. Above it the pipeline automatically switches to the fully
-    distributed CC + sharded object-store assignment (the 10^12-row path) —
-    pass 0 to force that path (the parity test does).
+    hold. Above it the pipeline automatically switches to the Dataset-form
+    cluster map (folded and sharded in tasks, never on the driver) + sharded
+    object-store assignment — pass 0 to force that path (the parity test
+    does).
 
     ``prefetch_payload``: materialize the filtered payload branch in a
     background thread WHILE the signature/CC stages run, overlapping the wide
@@ -232,7 +233,6 @@ def minhash_dedup(
         if parents_is_dict:
             assigned = assign_clusters(filtered, parents)
         else:
-            parents = parents.materialize()
             assigned = assign_clusters_sharded(
                 filtered, parents, num_shards=merge_partitions
             )
@@ -526,7 +526,7 @@ def minhash_dedup_checkpointed(
             assigned = assign_clusters(filtered, parents)
         else:
             assigned = assign_clusters_sharded(
-                filtered, parents.materialize(), num_shards=merge_partitions
+                filtered, parents, num_shards=merge_partitions
             )
     metrics["stage_seconds"] = timer.report()
     deduped = assigned if skip_filtering else filter_cluster_roots(assigned)

@@ -22,7 +22,7 @@ Scale shape:
    process in chunks with the cell's min-id member replicated into every
    chunk (bounded memory; exact copies still always merge; logged);
 4. edges feed the shared auto union-find (driver dict below
-   ``driver_threshold`` reduced edges, distributed CC above).
+   ``driver_threshold`` reduced edges, a Dataset-form map above).
 
 Returns the usual parents map contract (dict | Dataset) — compose with
 ``stages.assign`` to tag/drop duplicates, exactly like the other families.

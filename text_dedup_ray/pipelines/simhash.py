@@ -121,7 +121,7 @@ def simhash_dedup(
         parents = {k: v for k, v in all_parents.items() if k != v}
         assigned = assign_clusters(ds, parents)
     else:
-        parents = all_parents.materialize()
+        parents = all_parents
         assigned = assign_clusters_sharded(ds, parents, num_shards=merge_partitions)
     deduped_source = assigned  # final filter reads the PRE-verification flag
 

@@ -16,8 +16,9 @@ WITH a logged count; the reference would grind on it unbounded).
 Two reassignment semantics, faithfully distinct:
 - ``minhash``: verified members regroup under their OLD cluster id; new
   representative = min verified member (minhash.py:136-148).
-- ``simhash``: verified pairs are re-unioned from scratch; only non-root
-  members enter the new map (simhash.py:142-149).
+- ``simhash``: verified pairs are re-unioned from scratch (one vectorized
+  ``reduce_edges`` per partition); only non-root members enter the new map
+  (simhash.py:142-149).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.tokenization import shingle_set
-from ..functions.unionfind import UnionFind
+from ..functions.unionfind import reduce_edges
 from ..stages.assign import CLUSTER_COLUMN, DUPLICATE_COLUMN
 
 logger = logging.getLogger(__name__)
@@ -102,6 +103,8 @@ def verify_clusters_dataset(
             by_cluster[c].append(pos)
         out_ids: list[int] = []
         out_clusters: list[int] = []
+        pair_a: list[int] = []  # simhash: verified pairs, unioned at the end
+        pair_b: list[int] = []
         skipped_members = 0
         for c, positions in by_cluster.items():
             if len(positions) < 2:
@@ -126,15 +129,20 @@ def verify_clusters_dataset(
                     for m in sorted(verified):
                         out_ids.append(m)
                         out_clusters.append(new_c)
-            else:  # simhash: union verified pairs, keep non-roots only
-                uf = UnionFind()
+            else:  # simhash: collect verified pairs for one union below
                 for i in range(len(positions)):
                     for j in range(i + 1, len(positions)):
                         if _jaccard_sorted(shingles[i], shingles[j]) >= threshold:
-                            uf.union(member_ids[i], member_ids[j])
-                for m, r in uf.non_trivial_clusters().items():
-                    out_ids.append(m)
-                    out_clusters.append(r)
+                            pair_a.append(member_ids[i])
+                            pair_b.append(member_ids[j])
+        if pair_a:
+            # clusters hold disjoint members, so one union over the whole
+            # partition keeps them apart; non-root members -> component min
+            members, roots = reduce_edges(
+                np.array(pair_a, np.int64), np.array(pair_b, np.int64)
+            )
+            out_ids += members.tolist()
+            out_clusters += roots.tolist()
         if skipped_members:
             logger.warning(
                 "verify_clusters: %d members beyond max_cluster=%d skipped "

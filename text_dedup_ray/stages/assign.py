@@ -182,27 +182,11 @@ def assign_clusters_sharded(
     path. Payload rows never move; per-node transfer is bounded by the map
     size, not map x batches. Output schema matches :func:`assign_clusters`.
     """
-    from .exchange import _split_block
+    from .exchange import block_refs, split_refs
 
-    def add_part(t: pa.Table) -> pa.Table:
-        ids = t["row_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "part", pa.array((np.abs(ids) % num_shards).astype(np.int64))
-        )
-
-    tagged = cluster_table.map_batches(add_part, batch_format="pyarrow")
-    split = ray.remote(num_returns=num_shards)(_split_block)
     sort_shard = ray.remote(_sort_map_shard)
-
-    block_refs = tagged.to_arrow_refs()
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_shards)]
-    for ref in block_refs:
-        outs = split.remote(ref, "part", num_shards)
-        if num_shards == 1:
-            outs = [outs]
-        for p, o in enumerate(outs):
-            columns[p].append(o)
-    shard_refs = [sort_shard.remote(*columns[p]) for p in range(num_shards)]
+    columns = split_refs(block_refs(cluster_table), "row_id", num_shards)
+    shard_refs = [sort_shard.remote(*column) for column in columns]
 
     def assign(batch: pa.Table) -> pa.Table:
         ids = batch[id_column].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -1,31 +1,35 @@
-"""Connected components over an edge set, on the driver or distributed.
+"""Connected components over an edge set, on the driver or as a Dataset.
 
 Replaces the reference's single-process CC (polars ``super_merger``,
-minhash.py:66; pure-Python UnionFind loop, simhash.py:43-68). The driver
-path and the tree reduce run one vectorized kernel
-(:func:`..functions.unionfind.component_min_labels`: dense factorize,
-min-label hooking, pointer jumping):
+minhash.py:66; pure-Python UnionFind loop, simhash.py:43-68). Every path runs
+one vectorized kernel (:func:`..functions.unionfind.component_min_labels`:
+dense factorize, min-label hooking, pointer jumping) on ObjectRefs of edge
+tables; past reading an edge Dataset's blocks, no path runs a Ray Data
+execution:
 
 - driver path: when the whole edge set fits ``driver_threshold``, its tables
-  are fetched straight from their ObjectRefs and labelled in one kernel call
-  — no Ray Data execution at all;
-- tree reduce: above the threshold, each block of edges is collapsed
-  independently to its spanning star edges ``member -> component-min``
-  (functions/unionfind.reduce_edges) — a block of E edges shrinks to at most
-  ``distinct_nodes - components`` rows; blocks are then coalesced
-  ``fanin``-to-1 (``repartition`` — a cheap block merge, no key shuffle) and
-  reduced again, so components that span blocks merge a level higher, until
-  the surviving edges fit the driver;
-- distributed: if they never do, :func:`connected_components_distributed`
-  (contract + pointer-doubling rounds over the hash exchange) keeps the
-  cluster map a Dataset for :func:`..stages.assign.assign_clusters_join`.
+  are fetched straight from their ObjectRefs and labelled in one kernel call;
+- fold: above the threshold, each level launches one task per ``FANIN`` refs
+  that concatenates their edges and collapses them to the spanning star
+  edges ``member -> component-min`` (:func:`..functions.unionfind.reduce_edges`;
+  E edges shrink to at most ``distinct_nodes - components`` rows), so
+  components that span refs merge a level higher. The driver reads only the
+  per-task row counts; once a level fits ``driver_threshold`` its tables are
+  fetched and labelled on the driver;
+- single-task final level: if no level fits, the fold ends in ONE table that
+  holds every non-root member with its component minimum — the exact cluster
+  map. One task shards it by ``|row_id| mod num_partitions`` and the shards
+  come back as a Dataset (row_id, cluster_id) for
+  :func:`..stages.assign.assign_clusters_sharded` / ``assign_clusters_join``.
+  The map is never driver-resident on this path, but it is built in one task,
+  so that task's memory bounds the map size.
 
 Roots are always component minima (order-independent, deterministic under
 retries), matching the reference's min-id representative convention
 (minhash.py:67-77).
 
-Scale note: the map's final size is O(#duplicate rows). Only the (narrow,
-int64-pair) final map is driver-resident, which holds to ~10^8 duplicates.
+Scale note: the map's final size is O(#duplicate rows) — narrow int64 pairs,
+16 bytes a duplicate, so one task holds ~10^8 duplicates in a few GB.
 """
 
 from __future__ import annotations
@@ -37,190 +41,57 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.unionfind import UnionFind, component_min_labels, reduce_edges
+from ..functions.unionfind import component_min_labels, reduce_edges
+from .exchange import _slice_by_part, block_refs
+
+# refs concatenated per fold task: a level has 1/FANIN the tasks of the last
+FANIN = 8
 
 
-def _reduce_block(batch: pa.Table) -> pa.Table:
-    src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-    s, d = reduce_edges(src, dst)
-    return pa.table({"src": s, "dst": d})
+def _edge_arrays(tables: Iterable[pa.Table]) -> tuple[np.ndarray, np.ndarray]:
+    """The (src, dst) columns of the edge tables as two int64 arrays; other
+    columns, dtype and schema differences between tables do not matter."""
+    parts = [t for t in tables if t.num_rows]  # skips schema-less empty blocks
+    src = [t["src"].to_numpy(zero_copy_only=False).astype(np.int64) for t in parts]
+    dst = [t["dst"].to_numpy(zero_copy_only=False).astype(np.int64) for t in parts]
+    empty = [np.empty(0, np.int64)]
+    return np.concatenate(src + empty), np.concatenate(dst + empty)
+
+
+def _fold_edges(*tables: pa.Table) -> tuple[pa.Table, int]:
+    """Star edges of the union of ``tables`` and their row count (the
+    driver's stop test fetches only the count)."""
+    src, dst = reduce_edges(*_edge_arrays(tables))
+    return pa.table({"src": src, "dst": dst}), len(src)
 
 
 def _cluster_dict(tables: Iterable[pa.Table]) -> dict[int, int]:
     """{member: component_min} over the (src, dst) edge tables, roots
     included (``root -> root``)."""
-    parts = [t for t in tables if t.num_rows]
-    if not parts:
-        return {}
-    src = np.concatenate([t["src"].to_numpy(zero_copy_only=False) for t in parts])
-    dst = np.concatenate([t["dst"].to_numpy(zero_copy_only=False) for t in parts])
-    nodes, roots = component_min_labels(src, dst)
+    nodes, roots = component_min_labels(*_edge_arrays(tables))
     return dict(zip(nodes.tolist(), roots.tolist()))
 
 
-def connected_components_distributed(
-    edges: ray.data.Dataset,
-    num_partitions: int = 64,
-    max_rounds: int = 30,
-) -> ray.data.Dataset:
-    """Fully distributed CC: returns the cluster map as a DATASET
-    (row_id, cluster_id) without ever holding it on the driver — the path for
-    cluster maps beyond ``driver_threshold`` (10^9+ duplicate rows).
-
-    1. one tree-reduce round collapses each block to star edges (parent map
-       fragments with parent = local component min);
-    2. pointer doubling to fixpoint: each round co-partitions parent entries
-       (keyed by node) with parent-lookups (keyed by parent) through the
-       hash exchange and rewrites parent -> parent(parent). Rounds =
-       O(log depth); each round touches only the narrow (node, parent) pairs.
-
-    Min-roots make the result order- and retry-independent.
-    """
-    from .exchange import hash_partition_exchange
-
-    def edges_to_parent_claims(t: pa.Table) -> pa.Table:
-        src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        node = np.maximum(src, dst)
-        parent = np.minimum(src, dst)
-        keep = node != parent
-        return pa.table({"node": node[keep], "parent": parent[keep]})
-
-    def add_node_part(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (np.abs(node) % num_partitions).astype(np.int64)
-        return t.append_column("part", pa.array(part))
-
-    def contract(group: pa.Table) -> pa.Table:
-        """All parent claims of the nodes owned by this partition: union
-        {node} ∪ {its claimed parents} per connected set via a local UF and
-        re-emit flattened claims. New claims for displaced parents carry
-        changed=1 so the driver can detect the fixpoint."""
-        if group.num_rows == 0:
-            return pa.table(
-                {"node": pa.array([], pa.int64()), "parent": pa.array([], pa.int64()),
-                 "changed": pa.array([], pa.int64())}
-            )
-        node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        parent = group["parent"].to_numpy(zero_copy_only=False).astype(np.int64)
-        uf = UnionFind()
-        union = uf.union
-        for n, p in zip(node.tolist(), parent.tolist()):
-            union(n, p)
-        out_n, out_p, out_c = [], [], []
-        seen_nodes = set(node.tolist())
-        for x in uf.parent:
-            r = uf.find(x)
-            if r != x:
-                out_n.append(x)
-                out_p.append(r)
-                # a claim is "new" if x was a displaced parent (not an owned
-                # node of this partition) or its parent changed
-                out_c.append(0 if x in seen_nodes else 1)
-        # detect changes among owned nodes: previous parent vs new root
-        prev = {}
-        order = np.argsort(node, kind="stable")
-        for n, p in zip(node[order].tolist(), parent[order].tolist()):
-            prev[n] = min(prev.get(n, p), p)
-        for i, x in enumerate(out_n):
-            if out_c[i] == 0 and prev.get(x) != out_p[i]:
-                out_c[i] = 1
-        return pa.table(
-            {
-                "node": pa.array(out_n, pa.int64()),
-                "parent": pa.array(out_p, pa.int64()),
-                "changed": pa.array(out_c, pa.int64()),
-            }
-        )
-
-    def tag_for_doubling(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        parent = t["parent"].to_numpy(zero_copy_only=False).astype(np.int64)
-        own = pa.table(
-            {
-                "node": node,
-                "parent": parent,
-                "role": pa.array(np.zeros(len(node), dtype=np.int8)),
-                "part": pa.array((np.abs(node) % num_partitions).astype(np.int64)),
-            }
-        )
-        req = pa.table(
-            {
-                "node": node,
-                "parent": parent,
-                "role": pa.array(np.ones(len(node), dtype=np.int8)),
-                "part": pa.array((np.abs(parent) % num_partitions).astype(np.int64)),
-            }
-        )
-        return pa.concat_tables([own, req])
-
-    def double(group: pa.Table) -> pa.Table:
-        """Rewrite each request claim's parent to its grandparent using the
-        owner partition's claims; claims pass through role-0 only as lookup
-        (the role-1 copy is the authoritative rewritten output)."""
-        if group.num_rows == 0:
-            return pa.table(
-                {"node": pa.array([], pa.int64()), "parent": pa.array([], pa.int64()),
-                 "changed": pa.array([], pa.int64())}
-            )
-        role = group["role"].to_numpy(zero_copy_only=False)
-        node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        parent = group["parent"].to_numpy(zero_copy_only=False).astype(np.int64)
-        own = role == 0
-        order = np.argsort(node[own], kind="stable")
-        lookup_n = node[own][order]
-        lookup_p = parent[own][order]
-        req = ~own
-        r_node, r_parent = node[req], parent[req]
-        if len(lookup_n):
-            pos = np.clip(np.searchsorted(lookup_n, r_parent), 0, len(lookup_n) - 1)
-            hit = lookup_n[pos] == r_parent
-            gp = np.where(hit, lookup_p[pos], r_parent)
-        else:
-            gp = r_parent
-        changed = (gp != r_parent).astype(np.int64)
-        return pa.table({"node": r_node, "parent": gp, "changed": changed})
-
-    claims = edges.map_batches(edges_to_parent_claims, batch_format="pyarrow")
-    for _round in range(max_rounds):
-        # phase 1: per-node merge + local unions (connectivity-preserving)
-        claims = hash_partition_exchange(
-            claims.map_batches(add_node_part, batch_format="pyarrow"),
-            "part",
-            num_partitions,
-            contract,
-        ).materialize()
-        c1 = claims.sum("changed") or 0
-        claims = claims.drop_columns(["changed"])
-        # phase 2: pointer doubling (flattens cross-partition chains)
-        claims = hash_partition_exchange(
-            claims.map_batches(tag_for_doubling, batch_format="pyarrow", batch_size=None),
-            "part",
-            num_partitions,
-            double,
-        ).materialize()
-        c2 = claims.sum("changed") or 0
-        claims = claims.drop_columns(["changed"])
-        if c1 == 0 and c2 == 0:
-            break
-
-    return claims.map_batches(
-        lambda t: pa.table(
-            {
-                "row_id": t["node"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "cluster_id": t["parent"].to_numpy(zero_copy_only=False).astype(np.int64),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+def _shard_map(
+    stars: pa.Table, num_partitions: int, include_roots: bool
+) -> "list[pa.Table] | pa.Table":
+    """The exact star map as (row_id, cluster_id) shards by
+    ``|row_id| mod num_partitions``, plus one ``root -> root`` row per
+    component when ``include_roots`` (one shard is returned bare, as the
+    single return of a ``num_returns=1`` task)."""
+    member = stars["src"].to_numpy(zero_copy_only=False)
+    root = stars["dst"].to_numpy(zero_copy_only=False)
+    if include_roots:
+        roots = np.unique(root)
+        member, root = np.concatenate([member, roots]), np.concatenate([root, roots])
+    table = pa.table({"row_id": member, "cluster_id": root})
+    shards = _slice_by_part(table, np.abs(member) % num_partitions, num_partitions)
+    return shards if num_partitions > 1 else shards[0]
 
 
 def connected_components_auto(
     edges: "ray.data.Dataset | list[ray.ObjectRef]",
     driver_threshold: int = 2_000_000,
-    fanin: int = 8,
-    max_rounds: int = 20,
     num_partitions: int = 64,
     include_roots: bool = True,
 ):
@@ -228,24 +99,30 @@ def connected_components_auto(
     edge Dataset or a list of ObjectRefs to (src, dst) Arrow tables (what
     :func:`..stages.exchange.tagged_split_exchange_refs` returns).
 
+    Returns the ``dict`` cluster map {member: component_min, roots included}
+    exactly when the cluster map has at most ``driver_threshold`` non-root
+    members, otherwise a DATASET (row_id, cluster_id) in ``num_partitions``
+    blocks for sharded/join assignment — the caller never has to know which
+    side of the threshold it is on.
+
     The tables are fetched one ref at a time while their running row count
     stays within ``driver_threshold``; if every table fits, one
-    :func:`component_min_labels` call on the driver returns the ``dict``
-    cluster map (the broadcast-assign path) without any Ray Data execution.
-    At the first table that crosses the threshold the fetching stops and all
-    refs are tree-reduced; if the surviving edges fit the threshold the
-    driver finishes them into a ``dict``, otherwise they go to
-    :func:`connected_components_distributed` and the cluster map comes back
-    as a DATASET (row_id, cluster_id) for join/sharded assignment — the
-    caller never has to know which side of the threshold it is on.
-    ``driver_threshold=0`` fetches nothing and forces the tree reduce.
+    :func:`component_min_labels` call on the driver returns the dict. At the
+    first table that crosses the threshold the fetching stops and all refs
+    are folded ``FANIN``-to-1 by :func:`reduce_edges` tasks, level by level;
+    the first level whose row count fits is fetched and finished on the
+    driver. A level's row count never exceeds the last one's, and the last
+    level (one table) holds exactly the non-root members, so this is the
+    same test as on the final map. Otherwise one task shards that table
+    into the Dataset map. ``driver_threshold=0`` fetches nothing and never
+    returns a dict for a graph with an edge between two distinct nodes.
 
-    ``include_roots=True`` appends root self-rows (root -> root) to the
-    Dataset map so ``__duplicate__`` semantics match the driver path for
+    ``include_roots=True`` adds root self-rows (root -> root) to the Dataset
+    map, once each, so ``__duplicate__`` semantics match the driver path for
     MinHash (reference minhash.py:67-79 includes min->min entries); SimHash
     passes False (its map keeps non-root members only, simhash.py:70-71).
     """
-    refs = edges.to_arrow_refs() if isinstance(edges, ray.data.Dataset) else list(edges)
+    refs = block_refs(edges) if isinstance(edges, ray.data.Dataset) else list(edges)
     if not refs:
         return {}
     if driver_threshold > 0:
@@ -259,55 +136,18 @@ def connected_components_auto(
         else:
             return _cluster_dict(tables)
 
-    ds = ray.data.from_arrow_refs(refs)
-    n = None
-    for _ in range(max_rounds):
-        ds = ds.map_batches(_reduce_block, batch_format="pyarrow", batch_size=None)
-        ds = ds.materialize()
-        n = ds.count()
-        nblocks = ds.num_blocks()
-        if n <= driver_threshold or nblocks <= 1:
+    fold = ray.remote(num_returns=2)(_fold_edges)
+    while True:
+        outs = [fold.remote(*refs[i : i + FANIN]) for i in range(0, len(refs), FANIN)]
+        refs = [table for table, _ in outs]
+        if sum(ray.get([rows for _, rows in outs])) <= driver_threshold:
+            return _cluster_dict(ray.get(refs))
+        if len(refs) == 1:
             break
-        ds = ds.repartition(max(1, nblocks // fanin))
 
-    if n is not None and n <= driver_threshold:
-        return _cluster_dict(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
-
-    claims = connected_components_distributed(ds, num_partitions=num_partitions)
-    if include_roots:
-        claims = _append_root_self_rows(claims, num_partitions)
-    return claims
-
-
-def _append_root_self_rows(
-    claims: ray.data.Dataset, num_partitions: int
-) -> ray.data.Dataset:
-    """Union (cluster_id, cluster_id) rows into a (row_id, cluster_id) map —
-    deduplicated by one narrow exchange keyed on cluster_id so each root
-    appears exactly once."""
-    from .exchange import hash_partition_exchange
-
-    def to_roots(t: pa.Table) -> pa.Table:
-        c = np.unique(t["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table(
-            {"cluster_id": c, "part": (np.abs(c) % num_partitions).astype(np.int64)}
-        )
-
-    def uniq(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table(
-                {"row_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())}
-            )
-        c = np.unique(group["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"row_id": c, "cluster_id": c})
-
-    roots = hash_partition_exchange(
-        claims.map_batches(to_roots, batch_format="pyarrow"),
-        "part",
-        num_partitions,
-        uniq,
-    )
-    return claims.union(roots)
+    shard = ray.remote(num_returns=num_partitions)(_shard_map)
+    shards = shard.remote(refs[0], num_partitions, include_roots)
+    return ray.data.from_arrow_refs(shards if num_partitions > 1 else [shards])
 
 
 def cluster_map_table(parents) -> "pa.Table | ray.data.Dataset":

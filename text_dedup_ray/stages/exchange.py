@@ -37,7 +37,7 @@ letting ref bookkeeping dominate driver memory.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -68,36 +68,64 @@ def distinct_key_partition(vals, num_partitions: int) -> np.ndarray:
     return hp[codes]
 
 
-def _split_block(block: pa.Table, part_col: str, num_partitions: int) -> list[pa.Table]:
-    if block.num_rows == 0:  # Ray emits schema-less empty blocks sometimes
-        return [block] * num_partitions
-    part = block[part_col].to_numpy(zero_copy_only=False).astype(np.int64)
+def block_refs(ds: ray.data.Dataset) -> list[ray.ObjectRef]:
+    """The Arrow block refs of ``ds`` in at most one Ray Data execution, and
+    none for a Dataset that is already materialized (``from_arrow_refs``,
+    ``materialize``). A bare ``to_arrow_refs`` on a lazy Dataset streams the
+    plan, then runs it again on one block to read the schema it did not keep."""
+    return ds.materialize().to_arrow_refs()
+
+
+def _slice_by_part(table: pa.Table, part: np.ndarray, num_partitions: int) -> list[pa.Table]:
+    """``table``'s rows bucketed by ``part`` (ids in ``[0, num_partitions)``):
+    one stable argsort + slice, no Python per-row work."""
     order = np.argsort(part, kind="stable")
-    sorted_part = part[order]
-    bounds = np.searchsorted(sorted_part, np.arange(num_partitions + 1))
-    sorted_tbl = block.take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
+    sorted_tbl = table.take(pa.array(order))
     return [
         sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
         for p in range(num_partitions)
     ]
 
 
+def _split_block(block: pa.Table, part_col: str, num_partitions: int) -> list[pa.Table]:
+    if block.num_rows == 0:  # Ray emits schema-less empty blocks sometimes
+        return [block] * num_partitions
+    part = np.abs(block[part_col].to_numpy(zero_copy_only=False).astype(np.int64))
+    return _slice_by_part(block, part % num_partitions, num_partitions)
+
+
+def split_refs(
+    refs: Iterable[ray.ObjectRef], part_col: str, num_partitions: int
+) -> list[list[ray.ObjectRef]]:
+    """Map side of the hash exchange over block ObjectRefs: one split task
+    per block; returns, per partition, the refs of that partition's
+    sub-table of every block. A row goes to partition ``|part_col| mod P``,
+    so a precomputed partition id in ``[0, P)`` passes through unchanged
+    and a raw int64 key (``row_id``) is partitioned without a tagging pass.
+    With one partition every block already is that partition: no tasks."""
+    if num_partitions == 1:
+        return [list(refs)]
+    split = ray.remote(num_returns=num_partitions)(_split_block)
+    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
+    for ref in refs:
+        for column, out in zip(columns, split.remote(ref, part_col, num_partitions)):
+            column.append(out)
+    return columns
+
+
 def split_map(
     ds: ray.data.Dataset, part_col: str, num_partitions: int
 ) -> list[list[ray.ObjectRef]]:
-    """Streaming map side of the hash exchange: one split task per block of
-    ``ds`` as it executes (no materialize barrier); returns, per partition,
-    the refs of that partition's sub-table of every block — the input of a
-    caller-launched reduce task per partition."""
-    split = ray.remote(num_returns=num_partitions)(_split_block)
+    """Streaming map side of the hash exchange: :func:`split_refs` over the
+    blocks of ``ds`` as it executes (no materialize barrier) — the input of
+    a caller-launched reduce task per partition."""
     columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
     for bundle in ds.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = split.remote(block_ref, part_col, num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p in range(num_partitions):
-                columns[p].append(outs[p])
+        for column, refs in zip(
+            columns, split_refs(bundle.block_refs, part_col, num_partitions)
+        ):
+            column.extend(refs)
     return columns
 
 
@@ -111,29 +139,19 @@ def hash_partition_exchange(
     """Apply ``reduce_fn`` once per hash partition of ``ds`` (the partition
     arrives as ONE concatenated Arrow table — whole-group semantics)."""
 
-    split = ray.remote(num_returns=num_partitions)(_split_block)
     reduce_remote = ray.remote(num_cpus=reduce_num_cpus)(_reduce_partition)
 
-    block_refs = ds.to_arrow_refs()
-    if not block_refs:
+    refs = block_refs(ds)
+    if not refs:
         empty = reduce_fn(pa.table({part_col: pa.array([], pa.int64())}))
         return ray.data.from_arrow(empty)
 
-    columns: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for ref in block_refs:
-        outs = split.remote(ref, part_col, num_partitions)
-        if num_partitions == 1:
-            outs = [outs]
-        for p, o in enumerate(outs):
-            columns[p].append(o)
-
-    reduced = [reduce_remote.remote(reduce_fn, *columns[p]) for p in range(num_partitions)]
+    columns = split_refs(refs, part_col, num_partitions)
+    reduced = [reduce_remote.remote(reduce_fn, *column) for column in columns]
     return ray.data.from_arrow_refs(reduced)
 
 
 def _reduce_partition(reduce_fn, *tables: pa.Table) -> pa.Table:
-    # num_partitions == 1 ships the split's 1-element list as ONE object
-    tables = tuple(t[0] if isinstance(t, list) else t for t in tables)
     parts = [t for t in tables if t.num_rows > 0]
     if not parts:
         return reduce_fn(tables[0]) if tables else pa.table({})
@@ -162,7 +180,7 @@ def tree_fold(
     O(log_fan_in(blocks)) levels.
     """
     reduce_remote = ray.remote(num_cpus=reduce_num_cpus)(_reduce_partition)
-    refs = ds.to_arrow_refs()
+    refs = block_refs(ds)
     if not refs:
         return ray.data.from_arrow(fold_fn(pa.table({})))
     while len(refs) > fan_in:
@@ -180,8 +198,6 @@ def _reduce_two_sided(reduce_fn, n_left: int, *tables: pa.Table) -> pa.Table:
     ONE concatenated Arrow table (None when that side contributed no rows —
     Ray emits schema-less empty blocks, so the kernel owns its empty
     schema)."""
-    # num_partitions == 1 ships the split's 1-element list as ONE object
-    tables = tuple(t[0] if isinstance(t, list) else t for t in tables)
     left = [t for t in tables[:n_left] if t.num_rows > 0]
     right = [t for t in tables[n_left:] if t.num_rows > 0]
     lt = pa.concat_tables(left) if left else None
@@ -203,19 +219,10 @@ def two_sided_hash_exchange(
     reduce task; each sub-table crosses the object store exactly once, no
     sort). The partitioning assumption is the usual one: one key's rows on
     each side fit a partition."""
-    split = ray.remote(num_returns=num_partitions)(_split_block)
     reduce_remote = ray.remote(num_cpus=reduce_num_cpus)(_reduce_two_sided)
 
-    lcols: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    rcols: list[list[ray.ObjectRef]] = [[] for _ in range(num_partitions)]
-    for cols, ds in ((lcols, left_ds), (rcols, right_ds)):
-        for ref in ds.to_arrow_refs():
-            outs = split.remote(ref, part_col, num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p, o in enumerate(outs):
-                cols[p].append(o)
-
+    lcols = split_refs(block_refs(left_ds), part_col, num_partitions)
+    rcols = split_refs(block_refs(right_ds), part_col, num_partitions)
     reduced = [
         reduce_remote.remote(
             reduce_fn, len(lcols[p]), *(lcols[p] + rcols[p])
@@ -241,15 +248,7 @@ def _split_tagged_block(
     tag = block[tag_col]
     edges = block.filter(tag).select(["src", "dst"])
     reps = block.filter(pc.invert(tag)).select(["src", "key"])
-    part = part_fn(reps, num_partitions)
-    order = np.argsort(part, kind="stable")
-    sorted_part = part[order]
-    bounds = np.searchsorted(sorted_part, np.arange(num_partitions + 1))
-    sorted_reps = reps.take(pa.array(order))
-    return [edges] + [
-        sorted_reps.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-        for p in range(num_partitions)
-    ]
+    return [edges] + _slice_by_part(reps, part_fn(reps, num_partitions), num_partitions)
 
 
 def tagged_split_map(
